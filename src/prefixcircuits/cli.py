@@ -34,11 +34,7 @@ GENERATOR_NAMES = ("serial", "sklansky", "kogge-stone", "brent-kung",
 
 
 def cmd_generate(args) -> int:
-    try:
-        circuit = _build_circuit(args.generator, args.n, args.s, args.k)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    circuit = _build_circuit(args.generator, args.n, args.s, args.k)
     if args.validate and not validate_prefix(circuit):
         print(f"error: generated circuit failed prefix validation", file=sys.stderr)
         return 1
@@ -86,10 +82,6 @@ def _formula_checks(name: str, n: int, s: int, row):
 
 def cmd_table(args) -> int:
     names = args.generators.split(",") if args.generators else list(GENERATOR_NAMES)
-    for name in names:
-        if name not in GENERATOR_NAMES:
-            print(f"error: unknown generator {name!r}", file=sys.stderr)
-            return 2
     n_list = _parse_n_list(args.n_list)
     work = [(name, n, args.s, args.k) for name in names for n in n_list]
     if args.jobs > 1:
@@ -139,9 +131,8 @@ def cmd_mindepth(args) -> int:
 
 
 def cmd_adder(args) -> int:
-    if args.n < 1 or args.s < 2:
-        print("error: need n >= 1 and s >= 2", file=sys.stderr)
-        return 2
+    if args.n < 1 or args.s < 2 or args.trials < 1:
+        raise ValueError("need n >= 1, s >= 2 and --trials >= 1")
     if args.action == "build":
         circuit = qadder.build_adder(args.n, args.s)
         text = qadder.netlist(circuit)
@@ -164,25 +155,21 @@ def cmd_adder(args) -> int:
                   f"(bound s*ceil(log_s n)+2={depth_bound})")
             print(f"ancillas: measured={rep['ancillas']}")
         return 0
-    if args.action == "verify":
-        if args.exhaustive and args.n > 10:
-            print("error: exhaustive verification is limited to n <= 10",
-                  file=sys.stderr)
-            return 2
-        report = qadder.verify_adder(args.n, args.s, trials=args.trials,
-                                     seed=args.seed)
-        mode = "exhaustive" if report.exhaustive else f"{report.cases} random pairs"
-        if report.ok:
-            print(f"adder n={args.n} s={args.s}: PASS ({mode})")
-            return 0
-        print(f"adder n={args.n} s={args.s}: FAIL ({mode})")
-        n, s, a, b, got_sum, got_carry = report.counterexample
-        print(f"counterexample: a={a} b={b} observed sum={got_sum} "
-              f"carry={got_carry} expected sum={(a + b) % (1 << n)} "
-              f"carry={(a + b) >> n}")
-        return 1
-    print(f"error: unknown adder action {args.action!r}", file=sys.stderr)
-    return 2
+    # action == "verify" (argparse restricts the choices)
+    if args.exhaustive and args.n > 10:
+        raise ValueError("exhaustive verification is limited to n <= 10")
+    report = qadder.verify_adder(args.n, args.s, trials=args.trials,
+                                 seed=args.seed)
+    mode = "exhaustive" if report.exhaustive else f"{report.cases} random pairs"
+    if report.ok:
+        print(f"adder n={args.n} s={args.s}: PASS ({mode})")
+        return 0
+    print(f"adder n={args.n} s={args.s}: FAIL ({mode})")
+    n, s, a, b, got_sum, got_carry = report.counterexample
+    print(f"counterexample: a={a} b={b} observed sum={got_sum} "
+          f"carry={got_carry} expected sum={(a + b) % (1 << n)} "
+          f"carry={(a + b) >> n}")
+    return 1
 
 
 def cmd_check_kron(args) -> int:
@@ -205,6 +192,8 @@ def cmd_check_kron(args) -> int:
 
 def cmd_ratio(args) -> int:
     n_list = _parse_n_list(args.n_list)
+    if min(n_list) < 2:
+        raise ValueError("ratio needs every n >= 2 (log2(1) = 0)")
     rows = kronecker.depth_ratio_report(n_list, args.s)
     print("n,recursion_depth,depth/log2(n),built_depth")
     for n, d, ratio in rows:
@@ -217,20 +206,22 @@ def _parse_n_list(text: str) -> list:
     """Accepts '8,16,32', ranges 'lo:hi[:step]', or geometric 'lo:hi:*k'."""
     out = []
     for part in text.split(","):
-        if ":" in part:
-            bits = part.split(":")
-            lo, hi = int(bits[0]), int(bits[1])
-            if len(bits) > 2 and bits[2].startswith("*"):
-                factor = int(bits[2][1:])
-                v = lo
-                while v <= hi:
-                    out.append(v)
-                    v *= factor
-            else:
-                step = int(bits[2]) if len(bits) > 2 else 1
-                out.extend(range(lo, hi + 1, step))
+        bits = part.split(":")
+        geometric = len(bits) == 3 and bits[2].startswith("*")
+        if geometric:
+            bits[2] = bits[2][1:]
+        nums = [int(b) for b in bits]
+        if len(nums) > 3 or min(nums) < 1 or (geometric and nums[2] < 2):
+            raise ValueError(f"--n-list entry {part!r}: need n, step >= 1 and factor >= 2")
+        lo, hi = nums[0], nums[min(1, len(nums) - 1)]
+        if geometric:
+            while lo <= hi:
+                out.append(lo)
+                lo *= nums[2]
         else:
-            out.append(int(part))
+            out.extend(range(lo, hi + 1, nums[2] if len(nums) == 3 else 1))
+    if not out:
+        raise ValueError(f"--n-list {text!r} is empty")
     return out
 
 
@@ -295,7 +286,11 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as e:  # bad argument values: usage error, no traceback
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

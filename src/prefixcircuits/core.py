@@ -21,13 +21,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
-    _HAVE_NUMBA = False
-
 INPUT = "input"
 GATE = "gate"
 
@@ -169,9 +162,6 @@ class PrefixCircuit:
             )
         return self._outputs
 
-    def wire_level(self, wire: int) -> int:
-        return 0 if wire < self.n else int(self._levels[wire - self.n])
-
     def __eq__(self, other):
         return (
             isinstance(other, PrefixCircuit)
@@ -218,49 +208,40 @@ def evaluate(circuit: PrefixCircuit, inputs: Sequence, op: Callable):
     return [vals[w] for w in circuit._outs]
 
 
-if _HAVE_NUMBA:
+def _forest_roots(n: int, parent: np.ndarray) -> np.ndarray:
+    """Input at the root of each wire's tree, gate g hanging off parent[g].
 
-    @numba.njit(cache=True)
-    def _interval_check(n, lefts, rights, outs):  # pragma: no cover - jitted
-        G = len(lefts)
-        lo = np.empty(n + G, dtype=np.int64)
-        hi = np.empty(n + G, dtype=np.int64)
-        for i in range(n):
-            lo[i] = i
-            hi[i] = i + 1
-        for g in range(G):
-            l = lefts[g]
-            r = rights[g]
-            a = lo[l]
-            c = lo[r]
-            if a < 0 or c < 0 or hi[l] != c:
-                lo[n + g] = -1
-                hi[n + g] = -1
-            else:
-                lo[n + g] = a
-                hi[n + g] = hi[r]
-        for i in range(n):
-            w = outs[i]
-            if lo[w] != 0 or hi[w] != i + 1:
-                return False
-        return True
+    Pointer jumping: a chain of length L resolves in ceil(log2 L) passes.
+    """
+    root = np.concatenate((np.arange(n, dtype=np.int64), parent))
+    a = np.flatnonzero(root >= n)
+    while a.size:
+        root[a] = root[root[a]]
+        a = a[root[a] >= n]
+    return root
 
-else:  # pragma: no cover
 
-    def _interval_check(n, lefts, rights, outs):
-        G = len(lefts)
-        lo = list(range(n)) + [0] * G
-        hi = [i + 1 for i in range(n)] + [0] * G
-        for g in range(G):
-            l, r = lefts[g], rights[g]
-            a, c = lo[l], lo[r]
-            if a < 0 or c < 0 or hi[l] != c:
-                lo[n + g] = -1
-                hi[n + g] = -1
-            else:
-                lo[n + g] = a
-                hi[n + g] = hi[r]
-        return all(lo[outs[i]] == 0 and hi[outs[i]] == i + 1 for i in range(n))
+def _live_gates(n: int, lefts, rights, outs) -> np.ndarray:
+    """Mask of the gates in the union of the output cones.
+
+    Repeatedly peels gates that feed no gate and are not outputs.
+    """
+    G = len(lefts)
+    fan = np.bincount(np.concatenate((lefts, rights, outs)), minlength=n + G)[n:]
+    live = np.ones(G, dtype=bool)
+    slot = np.empty(G, dtype=np.int64)
+    sinks = np.flatnonzero(fan == 0)
+    while sinks.size:
+        live[sinks] = False
+        ops = np.concatenate((lefts[sinks], rights[sinks]))
+        ops = ops[ops >= n] - n
+        np.subtract.at(fan, ops, 1)
+        ops = ops[fan[ops] == 0]
+        # drop repeats: of the positions written to slot[g], one survives
+        k = np.arange(ops.size)
+        slot[ops] = k
+        sinks = ops[slot[ops] == k]
+    return live
 
 
 def validate_prefix(circuit: PrefixCircuit) -> bool:
@@ -272,15 +253,25 @@ def validate_prefix(circuit: PrefixCircuit) -> bool:
     general associative structure, success here implies correctness for
     every associative operator.
 
-    Implementation note: a concatenation of singletons equals [a, ..., b-1]
-    iff it is a contiguous ascending run, and concatenating runs (a,b), (c,d)
-    yields a run iff b == c.  A non-run value can never become a run again
-    (the defect is interior), so tracking either (start, end) or a poisoned
-    marker per wire decides the predicate exactly in O(gates).
+    Implementation note: runs [a, b) and [c, d) concatenate to a run iff
+    b == c, and a non-run never becomes a run again.  A wire carrying a run
+    starts at the root input of its left-operand forest and ends one past
+    that of its right-operand forest (both found by pointer jumping).  Call
+    a gate aligned when its left operand's end is its right operand's
+    start.  A wire carries a run iff its whole cone is aligned: the first
+    misaligned gate of a cone has run operands, so it poisons the wire.  So
+    the circuit is valid iff output i's roots give [0, i+1) and no
+    misaligned gate is live, i.e. in an output cone (found by peeling).
     """
-    return bool(
-        _interval_check(circuit.n, circuit._lefts, circuit._rights, circuit._outs)
-    )
+    n, lefts, rights, outs = circuit.n, circuit._lefts, circuit._rights, circuit._outs
+    lo = _forest_roots(n, lefts)
+    hi = _forest_roots(n, rights) + 1
+    if lo[outs].any() or not np.array_equal(hi[outs], np.arange(1, n + 1)):
+        return False
+    misaligned = hi[lefts] != lo[rights]
+    if misaligned.any():
+        misaligned &= _live_gates(n, lefts, rights, outs)
+    return not misaligned.any()
 
 
 def metrics(circuit: PrefixCircuit, count_outputs: bool = False) -> CircuitMetrics:

@@ -465,11 +465,14 @@ def verify_adder(n: int, s: int, trials: int = 10000,
     Exhaustive over all (a, b) pairs for n <= 10, otherwise `trials` random
     pairs.  All cases run simultaneously: each qubit's values across cases
     are packed into one big integer, and the expected sum comes from an
-    independent bitwise ripple-carry over the same packed integers.
+    independent bitwise ripple-carry over the same packed integers.  Raises
+    ValueError for trials < 1 when the check is not exhaustive.
     """
+    exhaustive = n <= 10
+    if not exhaustive and trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if circuit is None:
         circuit = build_adder(n, s)
-    exhaustive = n <= 10
     if exhaustive:
         cases = 1 << (2 * n)
         a_bits = [_stripe(i, 2 * n) for i in range(n)]

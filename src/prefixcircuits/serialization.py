@@ -9,7 +9,8 @@ JSON schema (smallest schema that preserves levels)::
       "outputs": [{"kind": "input", "index": 0}, ...]
     }
 
-Schema violations are reported with the path to the offending field.
+Schema violations, including unknown keys and JSON booleans where an
+integer belongs, are reported with the path to the offending field.
 """
 
 from __future__ import annotations
@@ -40,14 +41,23 @@ def export_json(circuit: PrefixCircuit) -> str:
     return json.dumps(doc, indent=1)
 
 
-def _ref(obj, path: str) -> WireRef:
+def _check_keys(obj, path: str, keys: tuple) -> None:
+    """Raises unless `obj` is a JSON object with no keys outside `keys`."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected object, got {type(obj).__name__}")
+    if obj.keys() - set(keys):
+        raise SchemaError(f"{path}: unknown key(s) {sorted(obj.keys() - set(keys))}")
+
+
+def _ref(obj, path: str) -> WireRef:
+    # fast path: at this size a stray key means a missing one, rejected below
+    if type(obj) is not dict or len(obj) != 2:
+        _check_keys(obj, path, ("kind", "index"))
     kind = obj.get("kind")
     if kind not in (INPUT, GATE):
         raise SchemaError(f"{path}.kind: expected 'input' or 'gate', got {kind!r}")
     index = obj.get("index")
-    if not isinstance(index, int) or index < 0:
+    if type(index) is not int or index < 0:  # bool is an int subclass
         raise SchemaError(f"{path}.index: expected nonnegative integer, got {index!r}")
     return WireRef(kind, index)
 
@@ -55,12 +65,11 @@ def _ref(obj, path: str) -> WireRef:
 def import_json(text: str) -> PrefixCircuit:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise SchemaError(f"$: not valid JSON ({e})") from e
-    if not isinstance(doc, dict):
-        raise SchemaError("$: expected top-level object")
+    _check_keys(doc, "$", ("n", "gates", "outputs"))
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise SchemaError(f"$.n: expected positive integer, got {n!r}")
     raw_gates = doc.get("gates")
     if not isinstance(raw_gates, list):
@@ -68,13 +77,13 @@ def import_json(text: str) -> PrefixCircuit:
     gates = []
     for i, g in enumerate(raw_gates):
         path = f"$.gates[{i}]"
-        if not isinstance(g, dict):
-            raise SchemaError(f"{path}: expected object")
+        if type(g) is not dict or len(g) != 4:  # fast path, as in _ref
+            _check_keys(g, path, ("id", "left", "right", "level"))
         gid = g.get("id")
-        if gid != i:
+        if type(gid) is not int or gid != i:
             raise SchemaError(f"{path}.id: expected {i}, got {gid!r}")
         level = g.get("level")
-        if not isinstance(level, int) or level < 1:
+        if type(level) is not int or level < 1:
             raise SchemaError(f"{path}.level: expected positive integer, got {level!r}")
         gates.append(
             GateNode(i, _ref(g.get("left"), path + ".left"),
@@ -88,7 +97,7 @@ def import_json(text: str) -> PrefixCircuit:
     outputs = [_ref(o, f"$.outputs[{i}]") for i, o in enumerate(raw_outputs)]
     try:
         return PrefixCircuit(n, gates, outputs)
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:  # wire ids past int64 overflow
         raise SchemaError(f"$.gates: {e}") from e
 
 

@@ -70,7 +70,7 @@ def test_criterion_2_prefix_via_kron_oracle():
 
 
 def test_criterion_3_zero_deficiency_family():
-    pc.validate_prefix(pc.serial(4))  # warm the jit outside the timed region
+    pc.validate_prefix(pc.serial(4))  # first call outside the timed region
     t0 = time.time()
     bad = []
     checked = 0

@@ -14,6 +14,32 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+@pytest.mark.parametrize("argv, code", [
+    ("table --n-list 8,x", 2),
+    ("table --n-list 0", 2),
+    ("table --n-list 2:8:*1", 2),
+    ("table --n-list 9:3", 2),
+    ("table --n-list 2:8:*2 --generators serial,foo", 2),
+    ("mindepth --max-n 0", 2),
+    ("ratio --n-list 1", 2),
+    ("ratio --n-list 2:4", 0),
+    ("adder verify -n 20 --trials 0", 2),
+    ("adder verify -n 4 --trials 0 --exhaustive", 2),
+    ("adder verify -n 20 --trials 1", 0),
+    ("adder verify -n 11 --exhaustive", 2),
+    ("adder resources -n 0", 2),
+    ("adder build -n 4 -s 1", 2),
+    ("generate kronecker -n 8 -s 1", 2),
+    ("generate serial -n 0", 2),
+    ("generate ladner-fischer -n 8 -k 9", 2),
+])
+def test_exit_codes(capsys, argv, code):
+    got, out, err = run(capsys, *argv.split())
+    assert got == code
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestGenerate:
     def test_dot_output(self, capsys):
         code, out, _ = run(capsys, "generate", "kronecker", "-n", "27", "-s", "3",

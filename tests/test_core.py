@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import prefixcircuits as pc
@@ -22,6 +22,100 @@ def ref_validate(circuit):
         circuit, [[i] for i in range(circuit.n)], lambda a, b: a + b
     )
     return all(outs[i] == list(range(i + 1)) for i in range(circuit.n))
+
+
+def _interval_check(n, lefts, rights, outs):
+    """Reference free-monoid check: the interval loop, one gate at a time."""
+    G = len(lefts)
+    lo = list(range(n)) + [0] * G
+    hi = [i + 1 for i in range(n)] + [0] * G
+    for g in range(G):
+        l, r = lefts[g], rights[g]
+        a, c = lo[l], lo[r]
+        if a < 0 or c < 0 or hi[l] != c:
+            lo[n + g] = -1
+            hi[n + g] = -1
+        else:
+            lo[n + g] = a
+            hi[n + g] = hi[r]
+    return all(lo[outs[i]] == 0 and hi[outs[i]] == i + 1 for i in range(n))
+
+
+def _from_lists(n, lefts, rights, outs):
+    """Circuit with tight levels, so any topologically ordered wiring builds."""
+    level = [0] * n
+    for l, r in zip(lefts, rights):
+        level.append(max(level[l], level[r]) + 1)
+    return PrefixCircuit.from_arrays(n, lefts, rights, level[n:], outs)
+
+
+GENERATED = {
+    "serial": lambda n, p: pc.serial(n),
+    "sklansky": lambda n, p: pc.sklansky(n),
+    "kogge-stone": lambda n, p: pc.kogge_stone(n),
+    "brent-kung": lambda n, p: pc.brent_kung(n),
+    "ladner-fischer": lambda n, p: pc.ladner_fischer(n, p % ((n - 1).bit_length() + 1)),
+    "kronecker": lambda n, p: pc.kronecker_circuit(n, 2 + p % 4),
+}
+
+
+@st.composite
+def mutated_circuits(draw):
+    """A generated circuit (n <= 200) after up to three random mutations."""
+    name = draw(st.sampled_from(sorted(GENERATED)))
+    n = draw(st.integers(1, 200))
+    c = GENERATED[name](n, draw(st.integers(0, 7)))
+    lefts, rights, outs = c._lefts.tolist(), c._rights.tolist(), c._outs.tolist()
+    for kind in draw(st.lists(st.sampled_from(
+            ["rewire", "outputs", "swap", "splice", "dead"]), max_size=3)):
+        G = len(lefts)
+        if kind == "rewire" and G:
+            g = draw(st.integers(0, G - 1))
+            side = draw(st.sampled_from([lefts, rights]))
+            side[g] = draw(st.integers(0, n + g - 1))
+        elif kind == "outputs":
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            if draw(st.booleans()):
+                outs[i], outs[j] = outs[j], outs[i]
+            else:
+                outs[i] = draw(st.integers(0, n + G - 1))
+        elif kind == "swap" and G:
+            g = draw(st.integers(0, G - 1))
+            lefts[g], rights[g] = rights[g], lefts[g]
+        elif kind == "splice" and G:
+            g = draw(st.integers(0, G - 1))
+            into = draw(st.sampled_from([lefts[g], rights[g]]))
+
+            def remap(w):
+                return into if w == n + g else w - (w > n + g)
+
+            del lefts[g], rights[g]
+            lefts[:] = [remap(w) for w in lefts]
+            rights[:] = [remap(w) for w in rights]
+            outs[:] = [remap(w) for w in outs]
+        elif kind == "dead":
+            prev = None
+            for _ in range(draw(st.integers(1, 4))):
+                w = len(lefts) + n
+                a = draw(st.integers(0, w - 1)) if prev is None else prev
+                b = draw(st.integers(0, w - 1))
+                if draw(st.booleans()):
+                    a, b = b, a
+                lefts.append(a)
+                rights.append(b)
+                prev = w
+    return _from_lists(n, lefts, rights, outs)
+
+
+# (circuit, valid): a valid circuit whose one dead gate is misaligned; one
+# where that gate sits two peeling rounds below the dead chain's end; and an
+# invalid one whose live misaligned gate x0.x0 also feeds a dead gate that
+# is both operands of another, so peeling it twice would wrongly free x0.x0
+DEAD_GATE_CASES = [
+    (_from_lists(4, [0, 4, 5, 3], [1, 2, 3, 0], [0, 4, 5, 6]), True),
+    (_from_lists(4, [0, 4, 5, 3, 7, 8], [1, 2, 3, 0, 1, 2], [0, 4, 5, 6]), True),
+    (_from_lists(3, [0, 3, 4, 3, 6], [0, 1, 2, 0, 6], [0, 4, 5]), False),
+]
 
 
 class TestEvaluate:
@@ -109,6 +203,20 @@ class TestValidatePrefix:
         cases.append(PrefixCircuit(6, c.gates, outs))
         for circuit in cases:
             assert pc.validate_prefix(circuit) == ref_validate(circuit)
+
+    @given(mutated_circuits())
+    @example(DEAD_GATE_CASES[0][0])
+    @example(DEAD_GATE_CASES[1][0])
+    @example(DEAD_GATE_CASES[2][0])
+    @settings(max_examples=400, deadline=None)
+    def test_matches_interval_loop(self, circuit):
+        want = _interval_check(circuit.n, circuit._lefts.tolist(),
+                               circuit._rights.tolist(), circuit._outs.tolist())
+        assert pc.validate_prefix(circuit) == want
+
+    @pytest.mark.parametrize("circuit, valid", DEAD_GATE_CASES)
+    def test_dead_gates_hand_cases(self, circuit, valid):
+        assert pc.validate_prefix(circuit) == ref_validate(circuit) == valid
 
     def test_structural_error_names_gate(self):
         with pytest.raises(CircuitStructureError, match="gate 0"):

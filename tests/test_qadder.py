@@ -92,6 +92,11 @@ class TestVerify:
         report = verify_adder(20, 3, trials=500)
         assert report.ok and not report.exhaustive and report.cases == 500
 
+    def test_zero_random_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials"):
+            verify_adder(20, 3, trials=0)
+        assert verify_adder(3, 2, trials=0).exhaustive  # trials unused
+
     def test_corrupted_circuit_yields_counterexample(self):
         c = build_adder(4, 2)
         dropped = next(i for i, g in enumerate(c.gates)
