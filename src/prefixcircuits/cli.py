@@ -144,7 +144,8 @@ def cmd_adder(args) -> int:
         return 0
     if args.action == "resources":
         rep = qadder.resource_report(args.n, args.s)
-        depth_bound = args.s * math.ceil(math.log(args.n, args.s)) + 2 if args.n > 1 else 3
+        # s*ceil(log_s n) + 2 in integers (3 at n = 1)
+        depth_bound = kronecker.kronecker_depth_bound(args.n, args.s) + 3
         if args.json:
             print(json.dumps(rep, indent=1))
         else:
@@ -174,8 +175,8 @@ def cmd_adder(args) -> int:
 
 def cmd_check_kron(args) -> int:
     if args.max_dim < 2:
-        print("grid [2,max_dim]^2 is empty: trivially pass")
-        return 0
+        raise ValueError(f"--max-dim must be >= 2 (the grid [2,max_dim]^2 "
+                         f"is empty at {args.max_dim})")
     failures = []
     for n1 in range(2, args.max_dim + 1):
         for n2 in range(2, args.max_dim + 1):

@@ -86,21 +86,29 @@ def kronecker_circuit(n: int, s: int, middle=None) -> PrefixCircuit:
     return PrefixCircuit.from_arrays(n, lefts, rights, levels, outs)
 
 
+def _attach_last_input(n: int, sub):
+    """Arrays for n inputs from `sub`, the arrays for n - 1 inputs.
+
+    One gate on a new level combines the last output with input n - 1.
+    """
+    lefts, rights, levels, outs = sub
+    # inputs gain one slot: gate ids shift from (n-1)+g to n+g
+    lefts = np.where(lefts >= n - 1, lefts + 1, lefts)
+    rights = np.where(rights >= n - 1, rights + 1, rights)
+    outs = np.where(outs >= n - 1, outs + 1, outs)
+    depth = levels.max() if len(levels) else 0
+    lefts = np.append(lefts, outs[-1])
+    rights = np.append(rights, n - 1)
+    levels = np.append(levels, depth + 1)
+    outs = np.append(outs, n + len(lefts) - 1)
+    return lefts, rights, levels, outs
+
+
 def _build_with_middle(n: int, s: int, middle):
-    if n <= s or is_power_of(n, s):
-        if n <= s:
-            return _build_arrays(n, s)
-        sub = _build_with_middle(n - 1, s, middle)
-        lefts, rights, levels, outs = (np.asarray(a) for a in sub)
-        lefts = np.where(lefts >= n - 1, lefts + 1, lefts)
-        rights = np.where(rights >= n - 1, rights + 1, rights)
-        outs = np.where(outs >= n - 1, outs + 1, outs)
-        depth = levels.max() if len(levels) else 0
-        lefts = np.append(lefts, outs[-1])
-        rights = np.append(rights, n - 1)
-        levels = np.append(levels, depth + 1)
-        outs = np.append(outs, n + len(lefts) - 1)
-        return lefts, rights, levels, outs
+    if n <= s:
+        return _build_arrays(n, s)
+    if is_power_of(n, s):
+        return _attach_last_input(n, _build_with_middle(n - 1, s, middle))
 
     b = -(-n // s)
     m = b - 1
@@ -155,18 +163,7 @@ def _build_arrays(n: int, s: int):
         outs = np.concatenate(([0], n + ids))
         return lefts, rights, levels, outs
     if is_power_of(n, s):
-        lefts, rights, levels, outs = _build_arrays(n - 1, s)
-        # inputs gain one slot: gate ids shift from (n-1)+g to n+g
-        lefts = np.where(lefts >= n - 1, lefts + 1, lefts)
-        rights = np.where(rights >= n - 1, rights + 1, rights)
-        outs = np.where(outs >= n - 1, outs + 1, outs)
-        last = outs[-1]
-        depth = levels.max() if len(levels) else 0
-        lefts = np.append(lefts, last)
-        rights = np.append(rights, n - 1)
-        levels = np.append(levels, depth + 1)
-        outs = np.append(outs, n + len(lefts) - 1)
-        return lefts, rights, levels, outs
+        return _attach_last_input(n, _build_arrays(n - 1, s))
 
     b = -(-n // s)
     m = b - 1

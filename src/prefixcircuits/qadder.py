@@ -17,6 +17,15 @@ Structure, mirroring the blocked prefix circuit level by level:
   the layer stays disjoint.  Scratch products are uncomputed in reverse.
 * ``b[i] <- b[i] XOR g[i-1]`` (CNOT layer) turns propagates into sum bits.
 
+The adder is written once, as the layer list of :func:`_adder_layers`: each
+step above is one or more whole parallel layers, a layer being one gate
+kind and label over index arrays with one gate per index, its gates on
+distinct qubits.  :func:`build_adder` expands the list into :class:`Gate`
+tuples; :func:`estimate_resources` reads the same list and applies the
+depth update a whole layer at a time, so it counts the builder's own
+qubits.  :func:`resources` measures any circuit gate by gate and is the
+reference the estimator is tested against.
+
 CNOT fan-out copies and the XOR layers carry no Toffoli layer label and do
 not count toward Toffoli depth; depth is measured as the longest chain of
 Toffolis under data dependence (a gate depends on an earlier one iff one's
@@ -74,16 +83,6 @@ class QuantumCircuit:
 # -- emission ------------------------------------------------------------------
 
 
-class _Recorder:
-    """Sink that stores gates."""
-
-    def __init__(self):
-        self.gates = []
-
-    def gate(self, kind, qubits, layer=None):
-        self.gates.append(Gate(kind, tuple(qubits), layer))
-
-
 class _DepthCounter:
     """Sink that tracks counts and dependence depth without storing gates."""
 
@@ -124,242 +123,116 @@ class _DepthCounter:
             rd[t] = 0
 
 
-def _emit_adder(n: int, s: int, sink) -> dict:
-    """Emit the adder's gates into `sink`; returns the register map."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if s < 2:
-        raise ValueError("block size s must be >= 2")
-    a = list(range(n))
-    b = list(range(n, 2 * n))
-    g = list(range(2 * n, 3 * n))
-    registers = {"a": a, "b": b, "g": g}
-    next_free = [3 * n]
-    z_pool: list[int] = []
+def _adder_layers(n: int, s: int):
+    """The adder as its register map and its gate layers, in circuit order.
 
-    def alloc(count: int) -> list:
-        start = next_free[0]
-        next_free[0] += count
-        return list(range(start, start + count))
-
-    for i in range(n):
-        sink.gate(TOFFOLI, (a[i], b[i], g[i]), "g-init")
-    for i in range(n):
-        sink.gate(CNOT, (a[i], b[i]))
-
-    def recurse(t: int, gq: list, pq: list):
-        M = len(gq)
-        if M <= 1:
-            return
-        blocks = [list(range(j, min(j + s, M))) for j in range(0, M, s)]
-        # up: within-block generate chains (block 0's chain completes carries)
-        for k in range(1, s):
-            label = f"L{t} chain {k}"
-            for blk in blocks:
-                if k < len(blk):
-                    sink.gate(
-                        TOFFOLI, (gq[blk[k - 1]], pq[blk[k]], gq[blk[k]]), label
-                    )
-        if M <= s:
-            return
-        # propagate products for blocks past the first
-        preg = alloc(sum(len(blk) - 1 for blk in blocks[1:]))
-        registers[f"p{t + 1}"] = preg
-        chi: dict = {}
-        pos = 0
-        prop_labels = [f"L{t} prop {k}" for k in range(s)]
-        for j, blk in enumerate(blocks):
-            if j == 0:
-                continue
-            prev = pq[blk[0]]
-            for k in range(1, len(blk)):
-                q = preg[pos]
-                pos += 1
-                sink.gate(TOFFOLI, (prev, pq[blk[k]], q), prop_labels[k])
-                chi[(j, k)] = q
-                prev = q
-        # recurse on block boundaries
-        next_g = [gq[blk[-1]] for blk in blocks]
-        next_p = [None] + [
-            chi[(j, len(blk) - 1)] if len(blk) > 1 else pq[blk[0]]
-            for j, blk in enumerate(blocks)
-            if j >= 1
-        ]
-        recurse(t + 1, next_g, next_p)
-        # down: finalize the non-boundary positions of blocks past the first
-        copies = []
-        fin_label = f"L{t} fin"
-        for j, blk in enumerate(blocks):
-            if j == 0:
-                continue
-            fins = len(blk) - 1
-            if fins < 1:
-                continue
-            seed = gq[blocks[j - 1][-1]]
-            while len(z_pool) < len(copies) + fins - 1:
-                z_pool.extend(alloc(1))
-            ctrls = [seed]
-            for c in range(fins - 1):
-                zq = z_pool[len(copies)]
-                copies.append((seed, zq))
-                sink.gate(CNOT, (seed, zq))
-                ctrls.append(zq)
-            for k in range(fins):
-                prop = pq[blk[0]] if k == 0 else chi[(j, k)]
-                sink.gate(TOFFOLI, (ctrls[k], prop, gq[blk[k]]), fin_label)
-        for seed, zq in reversed(copies):
-            sink.gate(CNOT, (seed, zq))
-        # uncompute propagate products, newest first
-        unprop_labels = [f"L{t} unprop {k}" for k in range(s)]
-        for j, blk in enumerate(blocks):
-            if j == 0:
-                continue
-            for k in range(len(blk) - 1, 0, -1):
-                prev = pq[blk[0]] if k == 1 else chi[(j, k - 1)]
-                sink.gate(TOFFOLI, (prev, pq[blk[k]], chi[(j, k)]),
-                          unprop_labels[k])
-
-    recurse(0, g, b)
-    for i in range(1, n):
-        sink.gate(CNOT, (g[i - 1], b[i]))
-    if z_pool:
-        registers["z"] = z_pool
-    return registers
-
-
-def build_adder(n: int, s: int) -> QuantumCircuit:
-    rec = _Recorder()
-    registers = _emit_adder(n, s, rec)
-    return QuantumCircuit(registers, rec.gates, n, s)
-
-
-def counted_resources(n: int, s: int) -> AdderResources:
-    """Resources of build_adder(n, s), gate by gate, without storing gates."""
-    counter = _DepthCounter()
-    registers = _emit_adder(n, s, counter)
-    total = sum(len(qs) for qs in registers.values())
-    return AdderResources(counter.toffoli_count, counter.toffoli_depth,
-                          total - 2 * n)
-
-
-def estimate_resources(n: int, s: int) -> AdderResources:
-    """Resources of build_adder(n, s), computed level-by-level.
-
-    Processes whole Toffoli layers as index-array batches (gates within a
-    layer touch disjoint qubits, so their dependence-depth updates are
-    independent).  Follows the builder's structure exactly -- including the
-    scratch-pool reuse pattern -- and is pinned to
-    ``resources(build_adder(n, s))`` by the test suite.
+    A layer is ``(kind, label, *qubit_arrays)``: one gate per index of the
+    equal-length int64 arrays (controls first, target last), and the gates
+    of one layer touch distinct qubits.  ``label`` is the Toffoli layer
+    label, None for CNOT layers.  Registers are ranges: a, b, g, then the
+    propagate products ``p{t}`` in recursion order, then the copy pool z
+    that every level reuses.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if s < 2:
         raise ValueError("block size s must be >= 2")
-    # Qubit layout: a 0..n-1, b n..2n-1, g 2n..3n-1, then the copy pool
-    # (sized for the widest level, which is the top one), then per-level
-    # propagate ancillas.  Pool slots use padded per-block positions; these
-    # coincide with the builder's compact, reused assignment because every
-    # block before the final one is full.
-    pool_cap = (-(-n // s) - 1) * (s - 2) if (n > s and s > 2) else 0
-    total = [3 * n + pool_cap]
-    wd = [np.zeros(total[0], dtype=np.int64)]
-    rd = [np.zeros(total[0], dtype=np.int64)]
-    zbase = 3 * n
-    state = {"count": 0, "depth": 0, "props": 0, "zmax": 0}
-
-    def grow(extra: int) -> int:
-        base = total[0]
-        total[0] += extra
-        wd[0] = np.concatenate([wd[0], np.zeros(extra, dtype=np.int64)])
-        rd[0] = np.concatenate([rd[0], np.zeros(extra, dtype=np.int64)])
-        return base
-
-    def toffoli(c1, c2, t):
-        w, r = wd[0], rd[0]
-        if not len(t):
-            return
-        d = np.maximum(np.maximum(w[c1], w[c2]), np.maximum(w[t], r[t])) + 1
-        state["count"] += len(t)
-        state["depth"] = max(state["depth"], int(d.max()))
-        r[c1] = np.maximum(r[c1], d)
-        r[c2] = np.maximum(r[c2], d)
-        w[t] = d
-        r[t] = 0
-
-    def cnot(c, t):
-        if not len(np.atleast_1d(t)):
-            return
-        w, r = wd[0], rd[0]
-        d = np.maximum(w[c], np.maximum(w[t], r[t]))
-        r[c] = np.maximum(r[c], d)
-        w[t] = d
-        r[t] = 0
-
     a = np.arange(n)
-    b = a + n
-    g = a + 2 * n
-    toffoli(a, b, g)  # generate
-    cnot(a, b)  # propagate into b
+    b, g = a + n, a + 2 * n
+    registers = {"a": range(n), "b": range(n, 2 * n), "g": range(2 * n, 3 * n)}
+    layers = [(TOFFOLI, "g-init", a, b, g), (CNOT, None, a, b)]
+    free = 3 * n
+    pool = 0
 
-    def recurse(gq, pq):
+    def level(t: int, gq, pq):
+        nonlocal free, pool
         M = len(gq)
-        if M <= 1:
-            return
+        # up: within-block generate chains (block 0's chain completes carries)
         for k in range(1, s):
-            idx = np.arange(k, M, s)
-            toffoli(gq[idx - 1], pq[idx], gq[idx])
+            i = np.arange(k, M, s)
+            layers.append((TOFFOLI, f"L{t} chain {k}", gq[i - 1], pq[i], gq[i]))
         if M <= s:
             return
+        # propagate products for blocks past the first: chi[k][j-1] is the
+        # product over positions 0..k of block j, for k >= 1 in fresh slot
+        # (j-1)*(s-1) + k-1 (every block but the last is full)
         B = -(-M // s)
-        state["props"] += (M - B) - (s - 1)
-        pbase = grow((B - 1) * (s - 1))  # padded; tail slots untouched
-
-        def chi(jj, k):  # propagate-partial slot of block jj, step k
-            return pbase + (jj - 1) * (s - 1) + (k - 1)
-
-        all_j = np.arange(1, B)
+        j = np.arange(1, B)
+        base = free
+        free += M - B - (s - 1)
+        registers[f"p{t + 1}"] = range(base, free)
+        chi = [pq[j * s]] + [base + (j - 1) * (s - 1) + (k - 1) for k in range(1, s)]
+        props = []
+        block_p = pq[::s].copy()  # a block's propagate: its chain's last product
         for k in range(1, s):
-            jj = all_j[all_j * s + k < M]
-            c1 = pq[jj * s] if k == 1 else chi(jj, k - 1)
-            toffoli(c1, pq[jj * s + k], chi(jj, k))
-        # recurse on block boundaries
-        ends = np.minimum(np.arange(B) * s + s - 1, M - 1)
-        last_len = M - (B - 1) * s
-        next_pq = np.zeros(B, dtype=np.int64)
-        if B > 2:
-            next_pq[1:-1] = chi(np.arange(1, B - 1), s - 1)
-        next_pq[B - 1] = chi(B - 1, last_len - 1) if last_len > 1 else pq[(B - 1) * s]
-        recurse(gq[ends], next_pq)
-        # finalize: copy the seeds, one Toffoli layer, uncopy
-        copies = []  # (seed array, z-slot array)
-        for c in range(0, s - 2):  # copy index within a block
-            jj = all_j[all_j * s + c + 2 < M]  # blocks with more than c+1 fins
-            if not len(jj):
-                continue
-            z = zbase + (jj - 1) * (s - 2) + c
-            cnot(gq[jj * s - 1], z)
-            copies.append((gq[jj * s - 1], z))
-            state["zmax"] = max(state["zmax"],
-                                int(((jj - 1) * (s - 2) + c).max()) + 1)
-        for k in range(0, s - 1):
-            jj = all_j[all_j * s + k + 1 < M]
-            if not len(jj):
-                continue
-            ctrl = gq[jj * s - 1] if k == 0 else zbase + (jj - 1) * (s - 2) + (k - 1)
-            prop = pq[jj * s] if k == 0 else chi(jj, k)
-            toffoli(ctrl, prop, gq[jj * s + k])
-        for seed, z in reversed(copies):
-            cnot(seed, z)
-        for k in range(s - 1, 0, -1):
-            jj = all_j[all_j * s + k < M]
-            c1 = pq[jj * s] if k == 1 else chi(jj, k - 1)
-            toffoli(c1, pq[jj * s + k], chi(jj, k))
+            m = np.count_nonzero(j * s + k < M)  # blocks with a position k
+            props.append((k, chi[k - 1][:m], pq[j[:m] * s + k], chi[k][:m]))
+            block_p[j[:m]] = chi[k][:m]
+        layers.extend((TOFFOLI, f"L{t} prop {k}", *qs) for k, *qs in props)
+        level(t + 1, gq[np.minimum(np.arange(B) * s + s - 1, M - 1)], block_p)
+        # down: finalize every non-boundary position of the blocks past the
+        # first, fanning each block's incoming carry out through CNOT copies
+        # into the pool (allocated after every p register) so the layer
+        # stays disjoint
+        copies, fin = [], []
+        for k in range(s - 1):
+            jj = j[j * s + k + 1 < M]
+            ctrl = gq[jj * s - 1]
+            if k:
+                z = free + (jj - 1) * (s - 2) + (k - 1)
+                copies.append((CNOT, None, ctrl, z))
+                ctrl = z
+            fin.append((ctrl, chi[k][: len(jj)], gq[jj * s + k]))
+        pool = max(pool, sum(len(c[3]) for c in copies))
+        layers.extend(copies)
+        layers.append((TOFFOLI, f"L{t} fin", *map(np.concatenate, zip(*fin))))
+        layers.extend(reversed(copies))
+        # uncompute propagate products, newest first
+        layers.extend((TOFFOLI, f"L{t} unprop {k}", *qs)
+                      for k, *qs in reversed(props))
 
-    recurse(g, b)
-    if n > 1:
-        cnot(g[: n - 1], b[1:])  # sums
-    return AdderResources(state["count"], state["depth"],
-                          n + state["props"] + state["zmax"])
+    level(0, g, b)
+    layers.append((CNOT, None, g[: n - 1], b[1:]))  # sums
+    if pool:
+        registers["z"] = range(free, free + pool)
+    return registers, [layer for layer in layers if len(layer[2])]
+
+
+def build_adder(n: int, s: int) -> QuantumCircuit:
+    registers, layers = _adder_layers(n, s)
+    # one int object per qubit, shared by every gate on it
+    ids = np.arange(sum(len(qs) for qs in registers.values()), dtype=object)
+    gates = []
+    for kind, label, *qs in layers:
+        gates.extend(Gate(kind, q, label) for q in zip(*(ids[q].tolist() for q in qs)))
+    return QuantumCircuit({name: ids[qs] for name, qs in registers.items()},
+                          gates, n, s)
+
+
+def estimate_resources(n: int, s: int) -> AdderResources:
+    """Resources of build_adder(n, s), counted a whole layer at a time.
+
+    Applies :class:`_DepthCounter`'s update to every gate of a layer at
+    once; that is exact because the gates of a layer touch distinct qubits.
+    """
+    registers, layers = _adder_layers(n, s)
+    total = sum(len(qs) for qs in registers.values())
+    wd = np.zeros(total, dtype=np.int64)  # qubit -> depth of last write
+    rd = np.zeros(total, dtype=np.int64)  # qubit -> max read depth since then
+    count = depth = 0
+    for kind, _, *ctrls, t in layers:
+        d = np.maximum(wd[t], rd[t])
+        for c in ctrls:
+            d = np.maximum(d, wd[c])
+        if kind == TOFFOLI:
+            d += 1
+            count += len(t)
+            depth = max(depth, int(d.max()))
+        for c in ctrls:
+            rd[c] = np.maximum(rd[c], d)
+        wd[t] = d
+        rd[t] = 0
+    return AdderResources(count, depth, total - 2 * n)
 
 
 # -- simulation ----------------------------------------------------------------

@@ -314,7 +314,7 @@ def test_criterion_10_toffoli_depth(resource_sweep):
     # s in {3, 4} at larger n (see module docstring and notes).
     bad = []
     for (n, s), r in resource_sweep.items():
-        bound = s * math.ceil(math.log(n, s) + 1e-12) + 2
+        bound = pc.kronecker_depth_bound(n, s) + 3  # s*ceil(log_s n) + 2
         if r.toffoli_depth > bound:
             bad.append((n, s, r.toffoli_depth, bound))
     report("10 (depth)", not bad,

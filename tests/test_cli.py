@@ -115,6 +115,12 @@ class TestAdder:
         assert code == 0
         assert "measured=" in out and "bound" in out
 
+    def test_resources_depth_bound_exact_at_power_of_s(self, capsys):
+        # 125 = 5**3: s*ceil(log_s n) + 2 = 5*3 + 2
+        code, out, _ = run(capsys, "adder", "resources", "-n", "125", "-s", "5")
+        assert code == 0
+        assert "(bound s*ceil(log_s n)+2=17)" in out
+
     def test_resources_json(self, capsys):
         code, out, _ = run(capsys, "adder", "resources", "-n", "8", "-s", "2",
                            "--json")
@@ -148,8 +154,8 @@ class TestCheckKron:
         assert code == 0 and "PASS" in out
 
     def test_trivial_grid(self, capsys):
-        code, out, _ = run(capsys, "check-kron", "--max-dim", "1")
-        assert code == 0 and "trivially" in out
+        code, out, err = run(capsys, "check-kron", "--max-dim", "1")
+        assert code == 2 and out == "" and err.startswith("error: ")
 
 
 class TestRatio:

@@ -1,12 +1,12 @@
 """Reversible adder: construction, simulation, resources, verification."""
 
-import math
 import random
 from collections import Counter
 
 import pytest
 
 from prefixcircuits import qadder
+from prefixcircuits.kronecker import kronecker_depth_bound
 from prefixcircuits.qadder import (
     CNOT,
     NOT,
@@ -133,6 +133,16 @@ class TestResources:
         with pytest.raises(LayerOverlapError):
             resources(c)
 
+    def test_layers_touch_distinct_qubits(self):
+        # estimate_resources updates a whole layer by numpy fancy assignment,
+        # which keeps only one of several writes to a repeated qubit
+        for s in (2, 3, 4, 5):
+            for n in list(range(1, 131)) + [256, 512]:
+                for kind, label, *qs in qadder._adder_layers(n, s)[1]:
+                    assert len({len(q) for q in qs}) == 1, (n, s, kind, label)
+                    qubits = [x for q in qs for x in q.tolist()]
+                    assert len(set(qubits)) == len(qubits), (n, s, kind, label)
+
     def test_ancilla_growth_is_linear(self):
         for s in (2, 3, 4):
             for n in (64, 128, 256):
@@ -191,7 +201,7 @@ class TestUnpropCause:
                 assert len(toffolis) - unprop <= 4 * n, (n, s)
                 count_over += len(toffolis) > 4 * n
 
-                bound = s * math.ceil(math.log(n, s) + 1e-12) + 2
+                bound = kronecker_depth_bound(n, s) + 3  # s*ceil(log_s n) + 2
                 depth_over += resources(c).toffoli_depth > bound
                 with monkeypatch.context() as m:
                     m.setattr(qadder, "_DepthCounter", _ZeroDepthUnprop)
