@@ -87,6 +87,29 @@ def kogge_stone(n: int) -> PrefixCircuit:
     return b.circuit(cur)
 
 
+def _pair_recurse(b: _Builder, wires: list[int], rec, fix_after: bool) -> list[int]:
+    """Pair adjacent wires, prefix the pair sums with `rec`, fix up the rest.
+
+    Each even position j >= 2 (except the last of an odd count, which the
+    recursion already covers) combines the prefix of its predecessor pair
+    with its own input.  With `fix_after` every fix-up gate sits on one
+    level after the whole recursion; otherwise levels are tight.
+    """
+    m = len(wires)
+    if m == 1:
+        return wires
+    paired = [b.emit(wires[j], wires[j + 1]) for j in range(0, m - 1, 2)]
+    if m % 2:
+        paired.append(wires[-1])
+    z = rec(paired)
+    fix_level = b.max_level() + 1 if fix_after else None
+    return [wires[0]] + [
+        z[j // 2] if j % 2 or j == m - 1
+        else b.emit(z[j // 2 - 1], wires[j], fix_level)
+        for j in range(1, m)
+    ]
+
+
 def brent_kung(n: int) -> PrefixCircuit:
     """Pair, recurse on pair sums, then one fix-up level for even positions.
 
@@ -98,23 +121,7 @@ def brent_kung(n: int) -> PrefixCircuit:
     b = _Builder(n)
 
     def rec(wires: list[int]) -> list[int]:
-        m = len(wires)
-        if m == 1:
-            return wires
-        paired = [b.emit(wires[j], wires[j + 1]) for j in range(0, m - 1, 2)]
-        if m % 2:
-            paired.append(wires[-1])
-        z = rec(paired)
-        fix_level = b.max_level() + 1
-        outs = [wires[0]]
-        for j in range(1, m):
-            if j % 2:
-                outs.append(z[j // 2])
-            elif j == m - 1:
-                outs.append(z[j // 2])  # odd m: the recursion already has it
-            else:
-                outs.append(b.emit(z[j // 2 - 1], wires[j], fix_level))
-        return outs
+        return _pair_recurse(b, wires, rec, fix_after=True)
 
     return b.circuit(rec(list(range(n))))
 
@@ -123,9 +130,9 @@ def ladner_fischer(n: int, k: int) -> PrefixCircuit:
     """The depth/size trade-off family; k extra levels halve the size overhead.
 
     k = 0 splits into halves (left half one variant deeper, right half
-    recursive) and merges with a full fan-out level; k >= 1 pairs adjacent
-    inputs, recurses at k - 1 on the pair sums, and fixes up even positions.
-    Levels are tight, so LF(8, 0) has depth 3.
+    recursive) and merges with a full fan-out level; k >= 1 is the
+    Brent-Kung step (pair, recurse at k - 1 on the pair sums, fix up even
+    positions).  Levels are tight, so LF(8, 0) has depth 3.
     """
     _check_n(n)
     kmax = math.ceil(math.log2(n)) if n > 1 else 0
@@ -142,19 +149,7 @@ def ladner_fischer(n: int, k: int) -> PrefixCircuit:
             left = rec(wires[:half], 1 if half > 1 else 0)
             right = rec(wires[half:], 0)
             return left + [b.emit(left[-1], w) for w in right]
-        paired = [b.emit(wires[j], wires[j + 1]) for j in range(0, m - 1, 2)]
-        if m % 2:
-            paired.append(wires[-1])
-        z = rec(paired, k - 1)
-        outs = [wires[0]]
-        for j in range(1, m):
-            if j % 2:
-                outs.append(z[j // 2])
-            elif j == m - 1:
-                outs.append(z[j // 2])
-            else:
-                outs.append(b.emit(z[j // 2 - 1], wires[j]))
-        return outs
+        return _pair_recurse(b, wires, lambda w: rec(w, k - 1), fix_after=False)
 
     return b.circuit(rec(list(range(n)), k))
 

@@ -17,13 +17,19 @@ gate attaches the last input, which caps the fan-out of the last boundary
 wire at s.  The result is zero-deficiency (size + depth = 2n - 2) with
 maximum fan-out <= s, for every n >= 2 and s >= 2.
 
+Layer 2 is pluggable: the `middle` hook on :func:`kronecker_circuit` puts
+any prefix circuit on the block totals in place of the chain.  One builder
+serves every middle; it maps the middle's inputs to the block totals and
+numbers its gates after layer 1, and the serial chain is both the default
+middle and the ``n <= s`` base case.
+
 Chaining layer 2 is what keeps every wire's fan-out within s: feeding the
 block totals back through the blocked construction itself re-uses each
 boundary prefix at every nesting level, pushing fan-out above s by up to
-s-1 per level (measurably so from n = 11 at s = 2; the `middle` hook on
-:func:`kronecker_circuit` exhibits it).  The price is depth: the built
-circuit has depth s + ceil(n/s) - 2 (see :func:`circuit_depth`), while
-:func:`kronecker_depth` gives the depth of the fully re-blocked recursion
+s-1 per level (measurably so from n = 11 at s = 2; a re-blocked `middle`
+exhibits it).  The price is depth: the built circuit has depth
+s + ceil(n/s) - 2 (see :func:`circuit_depth`), while :func:`kronecker_depth`
+gives the depth of the fully re-blocked recursion
 
     D(n) = n - 1                 for n <= s
     D(n) = 1 + D(n - 1)          for n an exact power of s
@@ -80,10 +86,22 @@ def kronecker_circuit(n: int, s: int, middle=None) -> PrefixCircuit:
     """
     _check_params(n, s)
     if middle is None:
-        lefts, rights, levels, outs = _build_arrays(n, s)
-    else:
-        lefts, rights, levels, outs = _build_with_middle(n, s, middle)
-    return PrefixCircuit.from_arrays(n, lefts, rights, levels, outs)
+        return PrefixCircuit.from_arrays(n, *_build_arrays(n, s))
+
+    def middle_arrays(m):
+        mc = middle(m)
+        if mc.n != m:
+            raise ValueError(f"middle generator returned {mc.n} inputs, expected {m}")
+        return mc._lefts, mc._rights, mc._levels, mc._outs
+
+    return PrefixCircuit.from_arrays(n, *_build_arrays(n, s, middle_arrays))
+
+
+def _chain(m: int):
+    """Arrays (lefts, rights, levels, outs) of the serial chain on m inputs."""
+    ids = np.arange(m - 1, dtype=np.int64)
+    outs = np.concatenate(([0], m + ids))
+    return outs[:-1], ids + 1, ids + 1, outs
 
 
 def _attach_last_input(n: int, sub):
@@ -104,66 +122,12 @@ def _attach_last_input(n: int, sub):
     return lefts, rights, levels, outs
 
 
-def _build_with_middle(n: int, s: int, middle):
+def _build_arrays(n: int, s: int, middle=_chain):
+    """Arrays of the blocked circuit; `middle(m)` gives the arrays of layer 2."""
     if n <= s:
-        return _build_arrays(n, s)
+        return _chain(n)
     if is_power_of(n, s):
-        return _attach_last_input(n, _build_with_middle(n - 1, s, middle))
-
-    b = -(-n // s)
-    m = b - 1
-    lefts: list = []
-    rights: list = []
-    levels: list = []
-    partial = list(range(n))
-    for c in range(n):
-        if c % s:
-            lefts.append(partial[c - 1])
-            rights.append(c)
-            levels.append(c % s)
-            partial[c] = n + len(lefts) - 1
-    w = [partial[min(i * s + s - 1, n - 1)] for i in range(b)]
-
-    mc = middle(m)
-    if mc.n != m:
-        raise ValueError(f"middle generator returned {mc.n} inputs, expected {m}")
-    base = n + len(lefts)
-    for g in range(mc.size):
-        l, r = int(mc._lefts[g]), int(mc._rights[g])
-        lefts.append(w[l] if l < m else base + (l - m))
-        rights.append(w[r] if r < m else base + (r - m))
-        levels.append((s - 1) + int(mc._levels[g]))
-    z = [w[int(o)] if o < m else base + (int(o) - m) for o in mc._outs]
-    depth = (s - 1) + (int(mc._levels.max()) if mc.size else 0) + 1
-
-    outs = [0] * n
-    for c in range(min(s, n)):
-        outs[c] = partial[c]
-    for i in range(m):
-        outs[(i + 1) * s - 1] = z[i]
-    for c in range(s, n):
-        if c % s != s - 1 or c >= s * (b - 1):
-            lefts.append(z[c // s - 1])
-            rights.append(partial[c])
-            levels.append(depth)
-            outs[c] = n + len(lefts) - 1
-    return (np.array(lefts, dtype=np.int64), np.array(rights, dtype=np.int64),
-            np.array(levels, dtype=np.int64), np.array(outs, dtype=np.int64))
-
-
-def _build_arrays(n: int, s: int):
-    if n == 1:
-        e = np.empty(0, dtype=np.int64)
-        return e, e, e, np.zeros(1, dtype=np.int64)
-    if n <= s:
-        ids = np.arange(n - 1, dtype=np.int64)
-        lefts = np.concatenate(([0], n + ids[:-1]))
-        rights = np.arange(1, n, dtype=np.int64)
-        levels = ids + 1
-        outs = np.concatenate(([0], n + ids))
-        return lefts, rights, levels, outs
-    if is_power_of(n, s):
-        return _attach_last_input(n, _build_arrays(n - 1, s))
+        return _attach_last_input(n, _build_arrays(n - 1, s, middle))
 
     b = -(-n // s)
     m = b - 1
@@ -179,18 +143,15 @@ def _build_arrays(n: int, s: int):
     l1_right = l1_cols
     l1_level = l1_cols % s
 
-    # layer 2: chain over block totals w_0..w_{m-1}
+    # layer 2: the middle circuit over block totals w_0..w_{m-1}, its
+    # inputs mapped to the totals and its gates numbered after layer 1
     w = partial[np.minimum(np.arange(b, dtype=np.int64) * s + s - 1, n - 1)]
-    if m >= 2:
-        mid_ids = n + g1 + np.arange(m - 1, dtype=np.int64)
-        mid_left = np.concatenate(([w[0]], mid_ids[:-1]))
-        mid_right = w[1:m]
-        mid_level = s + np.arange(m - 1, dtype=np.int64)
-        z = np.concatenate(([w[0]], mid_ids))
-    else:
-        mid_left = mid_right = mid_level = np.empty(0, dtype=np.int64)
-        z = w[:1]
-    depth = s + m - 1
+    mid_l, mid_r, mid_lv, mid_o = middle(m)
+    g2 = len(mid_l)
+    wire = np.concatenate((w[:m], n + g1 + np.arange(g2, dtype=np.int64)))
+    mid_left, mid_right, z = wire[mid_l], wire[mid_r], wire[mid_o]
+    mid_level = (s - 1) + mid_lv
+    depth = s + (int(mid_lv.max()) if g2 else 0)
 
     # layer 3: one level finalizing everything after block 0
     mask3 = (cols >= s) & ((cols % s != s - 1) | (cols >= s * (b - 1)))
@@ -198,7 +159,7 @@ def _build_arrays(n: int, s: int):
     l3_left = z[c3 // s - 1]
     l3_right = partial[c3]
     l3_level = np.full(len(c3), depth, dtype=np.int64)
-    l3_ids = n + g1 + (m - 1) + np.arange(len(c3), dtype=np.int64)
+    l3_ids = n + g1 + g2 + np.arange(len(c3), dtype=np.int64)
 
     outs = np.empty(n, dtype=np.int64)
     outs[: min(s, n)] = partial[: min(s, n)]
@@ -215,8 +176,6 @@ def _build_arrays(n: int, s: int):
 def circuit_depth(n: int, s: int) -> int:
     """Depth of the circuit :func:`kronecker_circuit` builds, in closed form."""
     _check_params(n, s)
-    if n == 1:
-        return 0
     if n <= s:
         return n - 1
     if is_power_of(n, s):
@@ -301,71 +260,61 @@ def kronecker_plan(n: int, s: int) -> KroneckerPlan:
 #
 # Grid view: after level k, column c holds the latest partial value whose
 # span ends at input c.  An edge (k, src) -> (k+1, dst) exists iff the gate
-# scheduled at level k+1 in column dst reads the value held at column src.
-# Both the scalar predicate and the per-level lister derive from the same
-# level case-split as the default-middle builder, in O(log n) arithmetic
-# without materializing the circuit.
+# scheduled at level k+1 in column dst reads the value held at column src:
+# its left operand's column, or dst itself.  Both the scalar predicate and
+# the per-level lister read the gates of a level from `_level_gates`, the
+# builder's level case split in O(log n) arithmetic, without materializing
+# the circuit.
+
+
+def _level_gates(n: int, s: int, level: int):
+    """(cols, left) for the gates at level + 1 of kronecker_circuit(n, s).
+
+    `cols` is a range of candidate destination columns; `left(c)` is the
+    column of the left operand of the gate in column c, or None where c has
+    no gate.  Out-of-range levels (every level when n == 1) give no columns.
+    """
+    D = circuit_depth(n, s)
+    lv = level + 1  # level of the gates
+    if not 0 <= level < D:
+        return range(0), None
+    if n <= s:
+        return range(lv, lv + 1), lambda c: c - 1
+    if is_power_of(n, s):
+        if lv < D:
+            return _level_gates(n - 1, s, level)
+        return range(n - 1, n), lambda c: c - 1
+    if lv <= s - 1:  # in-block serial
+        return range(lv, n, s), lambda c: c - 1
+    if lv < D:  # middle chain gate j at column (j+1)s - 1
+        col = (lv - s + 2) * s - 1
+        return range(col, col + 1), lambda c: c - s
+    # final layer: every column after block 0 except the chained totals
+    last = s * (-(-n // s) - 1)
+    return range(s, n), lambda c: (
+        None if c % s == s - 1 and c < last else c // s * s - 1)
 
 
 def edge_predicate(n: int, s: int, level: int, src_node: int, dst_node: int) -> bool:
-    _check_params(n, s)
-    if n == 1:
+    """True iff the gate at level + 1 in column `dst_node` reads column `src_node`.
+
+    O(log n) arithmetic on kronecker_circuit(n, s); agrees with level_edges.
+    """
+    cols, left = _level_gates(n, s, level)
+    if dst_node not in cols:
         return False
-    D = circuit_depth(n, s)
-    lv = level + 1  # level of the gate being queried
-    if not (0 <= level < D) or not (0 <= src_node < n) or not (0 <= dst_node < n):
-        return False
-    if n <= s:
-        return dst_node == lv and src_node in (dst_node - 1, dst_node)
-    if is_power_of(n, s):
-        if lv <= D - 1:
-            if src_node >= n - 1 or dst_node >= n - 1:
-                return False
-            return edge_predicate(n - 1, s, level, src_node, dst_node)
-        return dst_node == n - 1 and src_node in (n - 2, n - 1)
-    b = -(-n // s)
-    if lv <= s - 1:  # in-block serial
-        return dst_node % s == lv and src_node in (dst_node - 1, dst_node)
-    if lv < D:  # middle chain gate j at column (j+1)s - 1
-        j = lv - (s - 1)
-        return dst_node == (j + 1) * s - 1 and src_node in (j * s - 1, dst_node)
-    # final layer
-    if dst_node < s or (dst_node % s == s - 1 and dst_node < s * (b - 1)):
-        return False
-    return src_node in ((dst_node // s) * s - 1, dst_node)
+    src = left(dst_node)
+    return src is not None and src_node in (src, dst_node)
 
 
 def level_edges(n: int, s: int, level: int) -> list:
     """All grid edges (src, dst) from `level` into gates at level + 1."""
-    _check_params(n, s)
-    if n == 1:
-        return []
-    D = circuit_depth(n, s)
-    lv = level + 1
-    if not 0 <= level < D:
-        return []
-    if n <= s:
-        return [(lv - 1, lv), (lv, lv)]
-    if is_power_of(n, s):
-        if lv <= D - 1:
-            return level_edges(n - 1, s, level)
-        return [(n - 2, n - 1), (n - 1, n - 1)]
-    b = -(-n // s)
-    if lv <= s - 1:
-        edges = []
-        for c in range(lv, n, s):
-            edges.append((c - 1, c))
-            edges.append((c, c))
-        return edges
-    if lv < D:
-        j = lv - (s - 1)
-        c = (j + 1) * s - 1
-        return [(j * s - 1, c), (c, c)]
+    cols, left = _level_gates(n, s, level)
     edges = []
-    for c in range(s, n):
-        if c % s != s - 1 or c >= s * (b - 1):
-            edges.append(((c // s) * s - 1, c))
-            edges.append((c, c))
+    for c in cols:
+        src = left(c)
+        if src is not None:
+            edges += ((src, c), (c, c))
     return edges
 
 

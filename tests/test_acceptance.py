@@ -349,7 +349,8 @@ def test_criterion_10_measured_envelopes(resource_sweep):
                 bad.append(("depth2", n))
         else:
             # s in {3, 4}: forward cascade plus the uncompute tail
-            bound = (s + s - 2) * math.ceil(math.log(n, s) + 1e-12) + 3
+            k = (pc.kronecker_depth_bound(n, s) + 1) // s  # ceil(log_s n)
+            bound = (s + s - 2) * k + 3
             if r.toffoli_depth > bound:
                 bad.append(("depth", n, s, r.toffoli_depth, bound))
     report("10 (envelope)", not bad, f"failures={bad[:5]}")

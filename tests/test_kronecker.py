@@ -88,9 +88,11 @@ class TestMiddleHook:
         return pc.kronecker_circuit(n, s, middle=lambda m: self.reblocked(m, s))
 
     def test_serial_middle_reproduces_default(self):
-        for n, s in ((5, 2), (8, 2), (9, 2), (27, 3), (40, 4), (64, 2)):
-            assert pc.kronecker_circuit(n, s, middle=pc.serial) == \
-                pc.kronecker_circuit(n, s), (n, s)
+        # the default middle and the n <= s base case are the serial chain
+        for s in range(2, 8):
+            for n in [*range(1, 131), s ** 2, s ** 3, s ** 4]:
+                assert pc.kronecker_circuit(n, s, middle=pc.serial) == \
+                    pc.kronecker_circuit(n, s), (n, s)
 
     def test_reblocked_middle_attains_recursion_depth(self):
         # feeding the block totals back through the family itself realizes
@@ -140,9 +142,15 @@ class TestEdgePredicate:
         assert not pc.edge_predicate(4, 2, 0, 0, 9)
         assert not pc.edge_predicate(4, 2, 9, 0, 1)
         assert not pc.edge_predicate(4, 2, 0, -1, 1)
+        assert not pc.edge_predicate(1, 2, 0, 0, 0)
+        for s in (2, 3, 4):
+            assert pc.level_edges(1, s, 0) == []
+            for n in (2, s, s + 1, s ** 2, 50):
+                assert pc.level_edges(n, s, -1) == []
+                assert pc.level_edges(n, s, pc.circuit_depth(n, s)) == []
 
     def test_matches_lister_small(self):
-        for s in (2, 3):
+        for s in (2, 3, 4, 7):
             for n in range(2, 25):
                 D = pc.circuit_depth(n, s)
                 for lv in range(D):
