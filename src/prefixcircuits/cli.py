@@ -38,13 +38,22 @@ def cmd_generate(args) -> int:
     if args.validate and not validate_prefix(circuit):
         print(f"error: generated circuit failed prefix validation", file=sys.stderr)
         return 1
-    text = export_dot(circuit) if args.format == "dot" else export_json(circuit)
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(export_dot(circuit) if args.format == "dot" else export_json(circuit),
+          args.output)
     return 0
+
+
+def _emit(text: str, path) -> None:
+    """Write text to the file at path, or to stdout when path is empty."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        f = open(path, "w")
+    except OSError as e:  # unwritable -o path: a usage error
+        raise ValueError(f"cannot write {path}: {e.strerror}") from e
+    with f:
+        f.write(text)
 
 
 def _table_row(name: str, n: int, s: int, k: int):
@@ -134,13 +143,7 @@ def cmd_adder(args) -> int:
     if args.n < 1 or args.s < 2 or args.trials < 1:
         raise ValueError("need n >= 1, s >= 2 and --trials >= 1")
     if args.action == "build":
-        circuit = qadder.build_adder(args.n, args.s)
-        text = qadder.netlist(circuit)
-        if args.output:
-            with open(args.output, "w") as f:
-                f.write(text)
-        else:
-            sys.stdout.write(text)
+        _emit(qadder.netlist(qadder.build_adder(args.n, args.s)), args.output)
         return 0
     if args.action == "resources":
         rep = qadder.resource_report(args.n, args.s)

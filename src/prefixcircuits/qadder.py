@@ -84,7 +84,7 @@ class QuantumCircuit:
 
 
 class _DepthCounter:
-    """Sink that tracks counts and dependence depth without storing gates."""
+    """Gate-by-gate Toffoli count and dependence depth, without storing gates."""
 
     def __init__(self):
         self.toffoli_count = 0
@@ -331,21 +331,37 @@ def _stripe(bit: int, total_bits: int) -> int:
     return mask
 
 
+def _bit_planes(values, n: int) -> list:
+    """Bit t of integer i is bit i of values[t]; numpy packs one plane at a time."""
+    width = -(-n // 8)  # row j of byte_rows is byte j of every value
+    byte_rows = np.frombuffer(b"".join(v.to_bytes(width, "little") for v in values),
+                              dtype=np.uint8).reshape(-1, width).T.copy()
+    return [int.from_bytes(np.packbits(byte_rows[i >> 3] >> (i & 7) & 1,
+                                       bitorder="little").tobytes(), "little")
+            for i in range(n)]
+
+
 def verify_adder(n: int, s: int, trials: int = 10000,
                  seed: int = 0, circuit: Optional[QuantumCircuit] = None) -> AdderCheckReport:
     """Check sum, carry-out, and scratch restoration against ripple-carry.
 
     Exhaustive over all (a, b) pairs for n <= 10, otherwise `trials` random
-    pairs.  All cases run simultaneously: each qubit's values across cases
-    are packed into one big integer, and the expected sum comes from an
-    independent bitwise ripple-carry over the same packed integers.  Raises
-    ValueError for trials < 1 when the check is not exhaustive.
+    pairs from ``random.Random(seed)`` (a seed always gives the same pairs).
+    All cases run simultaneously: each qubit's values across cases are
+    packed into one big integer (random pairs by numpy, one bit plane at a
+    time), and the expected sum comes from an independent bitwise
+    ripple-carry over the same packed integers.  Raises ValueError for
+    trials < 1 when the check is not exhaustive, and for a `circuit` whose
+    a, b or g register is not n qubits.
     """
     exhaustive = n <= 10
     if not exhaustive and trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if circuit is None:
         circuit = build_adder(n, s)
+    sizes = [len(circuit.registers.get(r, ())) for r in "abg"]
+    if sizes != [n] * 3:
+        raise ValueError(f"circuit registers a, b, g have {sizes} qubits, need n = {n}")
     if exhaustive:
         cases = 1 << (2 * n)
         a_bits = [_stripe(i, 2 * n) for i in range(n)]
@@ -354,15 +370,7 @@ def verify_adder(n: int, s: int, trials: int = 10000,
         rng = random.Random(seed)
         cases = trials
         pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(trials)]
-        a_bits = [0] * n
-        b_bits = [0] * n
-        for t, (av, bv) in enumerate(pairs):
-            bit = 1 << t
-            for i in range(n):
-                if (av >> i) & 1:
-                    a_bits[i] |= bit
-                if (bv >> i) & 1:
-                    b_bits[i] |= bit
+        a_bits, b_bits = (_bit_planes(values, n) for values in zip(*pairs))
     all_ones = (1 << cases) - 1
 
     # independent oracle: bitwise ripple-carry on the packed values

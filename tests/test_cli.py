@@ -32,6 +32,8 @@ def run(capsys, *argv):
     ("generate kronecker -n 8 -s 1", 2),
     ("generate serial -n 0", 2),
     ("generate ladner-fischer -n 8 -k 9", 2),
+    ("generate serial -n 3 -o /nonexistent/x", 2),
+    ("adder build -n 4 -o /nonexistent/x", 2),
 ])
 def test_exit_codes(capsys, argv, code):
     got, out, err = run(capsys, *argv.split())

@@ -110,6 +110,89 @@ class TestVerify:
         n, s, a, b, got_sum, got_carry = report.counterexample
         assert (got_sum, got_carry) != (((a + b) % 16), (a + b) >> 4)
 
+    def test_circuit_of_another_width_rejected(self):
+        # too narrow: the a and b registers cannot hold n bits; too wide:
+        # the circuit's top sum bit and its carry-out would go unchecked
+        for n, width in ((5, 4), (11, 12)):
+            with pytest.raises(ValueError, match="registers a, b, g"):
+                verify_adder(n, 2, trials=10, circuit=build_adder(width, 2))
+        c = build_adder(11, 2)
+        for name in "abg":  # one register short
+            short = dict(c.registers, **{name: c.registers[name][:-1]})
+            with pytest.raises(ValueError, match="registers a, b, g"):
+                verify_adder(11, 2, trials=10, circuit=QuantumCircuit(short, c.gates))
+
+    def test_random_counterexample_is_first_failing_pair(self):
+        # a lost g-init Toffoli leaves g[i] clear where a[i] = b[i] = 1, so a
+        # pair fails with probability 1/4 and the first failure moves with
+        # the seed; the report must name the first failing pair of the
+        # seed's stream, which pins the bit order of the packing
+        n, trials = 64, 200
+        c = build_adder(n, 2)
+        victim = next(k for k, g in enumerate(c.gates) if g.toffoli_layer == "g-init"
+                      and g.qubits[2] == c.registers["g"][37])
+        broken = QuantumCircuit(c.registers, c.gates[:victim] + c.gates[victim + 1:],
+                                n, 2)
+        scratch = [q for name, qs in c.registers.items()
+                   if name not in ("a", "b", "g") for q in qs]
+        firsts = []
+        for seed in range(12):
+            rng = random.Random(seed)
+            pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(trials)]
+            for t, (a, b) in enumerate(pairs):
+                got_sum, got_carry, out = run_add(broken, a, b)
+                if ((got_sum, got_carry) != ((a + b) % (1 << n), (a + b) >> n)
+                        or any(out[q] for q in scratch)
+                        or sum(out[q] << i for i, q in enumerate(c.registers["a"])) != a):
+                    break
+            report = verify_adder(n, 2, trials=trials, seed=seed, circuit=broken)
+            assert not report.ok and report.cases == trials, seed
+            assert report.counterexample == (n, 2, a, b, got_sum, got_carry), (seed, t)
+            firsts.append(t)
+        # failures past the first byte of trials, so the trial index is pinned
+        assert max(firsts) >= 8, firsts
+
+
+def _packed_by_bit_loop(n, trials, seed):
+    """verify_adder's former random-mode packing, kept as the reference."""
+    rng = random.Random(seed)
+    pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(trials)]
+    a_bits = [0] * n
+    b_bits = [0] * n
+    for t, (av, bv) in enumerate(pairs):
+        bit = 1 << t
+        for i in range(n):
+            if (av >> i) & 1:
+                a_bits[i] |= bit
+            if (bv >> i) & 1:
+                b_bits[i] |= bit
+    return a_bits, b_bits
+
+
+class TestPacking:
+    def test_matches_bit_loop(self, monkeypatch):
+        # record the packed a and b registers that verify_adder hands to the
+        # gate simulation, and compare them with the per-bit loop
+        seen = []
+        run = qadder._batch_run
+
+        def spy(gates, vals, all_ones):
+            seen.append(list(vals))
+            return run(gates, vals, all_ones)
+
+        monkeypatch.setattr(qadder, "_batch_run", spy)
+        for n in (11, 12, 15, 16, 17, 63, 64, 65, 300, 1024):
+            c = build_adder(n, 2)
+            for trials in (1, 7, 8, 63, 64, 65, 500):
+                for seed in (0, 1, 77):
+                    seen.clear()
+                    report = verify_adder(n, 2, trials=trials, seed=seed, circuit=c)
+                    assert report.ok and report.cases == trials
+                    a_bits = [seen[0][q] for q in c.registers["a"]]
+                    b_bits = [seen[0][q] for q in c.registers["b"]]
+                    assert (a_bits, b_bits) == _packed_by_bit_loop(n, trials, seed), \
+                        (n, trials, seed)
+
 
 class TestResources:
     def test_empty_circuit(self):
