@@ -60,18 +60,7 @@ class PrefixCircuit:
     __slots__ = ("n", "_lefts", "_rights", "_levels", "_outs", "_gates", "_outputs")
 
     def __init__(self, n: int, gates: Iterable[GateNode], outputs: Sequence[WireRef]):
-        gates = list(gates)
-        lefts = np.empty(len(gates), dtype=np.int64)
-        rights = np.empty(len(gates), dtype=np.int64)
-        levels = np.empty(len(gates), dtype=np.int64)
-        for i, g in enumerate(gates):
-            if g.id != i:
-                raise CircuitStructureError(f"gate {g.id}: ids must be 0..G-1 in order")
-            lefts[i] = _flatten(g.left, n)
-            rights[i] = _flatten(g.right, n)
-            levels[i] = g.level
-        outs = np.array([_flatten(o, n) for o in outputs], dtype=np.int64)
-        self._init_from_arrays(n, lefts, rights, levels, outs)
+        self._init_from_arrays(n, *_node_arrays(n, gates, outputs))
 
     @classmethod
     def from_arrays(cls, n, lefts, rights, levels, outs) -> "PrefixCircuit":
@@ -174,6 +163,23 @@ class PrefixCircuit:
 
     def __repr__(self):
         return f"PrefixCircuit(n={self.n}, size={self.size})"
+
+
+def _node_arrays(n: int, gates: Iterable[GateNode], outputs: Sequence[WireRef]) -> tuple:
+    """(lefts, rights, levels, outs); raises CircuitStructureError for an
+    out-of-order id or an input index >= n, OverflowError past int64."""
+    gates = list(gates)
+    lefts = np.empty(len(gates), dtype=np.int64)
+    rights = np.empty(len(gates), dtype=np.int64)
+    levels = np.empty(len(gates), dtype=np.int64)
+    for i, g in enumerate(gates):
+        if g.id != i:
+            raise CircuitStructureError(f"gate {g.id}: ids must be 0..G-1 in order")
+        lefts[i] = _flatten(g.left, n)
+        rights[i] = _flatten(g.right, n)
+        levels[i] = g.level
+    outs = np.array([_flatten(o, n) for o in outputs], dtype=np.int64)
+    return lefts, rights, levels, outs
 
 
 def _flatten(ref: WireRef, n: int) -> int:

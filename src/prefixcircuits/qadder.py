@@ -242,7 +242,8 @@ def simulate(circuit: QuantumCircuit, initial) -> list:
     """Apply the gates classically over {0,1}; returns the final assignment.
 
     `initial` is a sequence assigning every qubit (index = qubit id) or a
-    dict mapping qubit ids to bits.
+    dict mapping qubit ids to bits.  A gate on a qubit >= n_qubits raises
+    ValueError; negative ids are not checked (Python indexing wraps them).
     """
     nq = circuit.n_qubits
     if isinstance(initial, dict):
@@ -254,16 +255,28 @@ def simulate(circuit: QuantumCircuit, initial) -> list:
         if len(initial) != nq:
             raise ValueError(f"expected {nq} qubit values, got {len(initial)}")
         state = [int(v) & 1 for v in initial]
-    for kind, qs, _ in circuit.gates:
-        if kind == TOFFOLI:
-            state[qs[2]] ^= state[qs[0]] & state[qs[1]]
-        elif kind == CNOT:
-            state[qs[1]] ^= state[qs[0]]
-        elif kind == NOT:
-            state[qs[0]] ^= 1
-        else:
-            raise ValueError(f"unknown gate kind {kind!r}")
+    try:
+        for kind, qs, _ in circuit.gates:
+            if kind == TOFFOLI:
+                state[qs[2]] ^= state[qs[0]] & state[qs[1]]
+            elif kind == CNOT:
+                state[qs[1]] ^= state[qs[0]]
+            elif kind == NOT:
+                state[qs[0]] ^= 1
+            else:
+                raise ValueError(f"unknown gate kind {kind!r}")
+    except IndexError:
+        _raise_outside_qubit(circuit)
+        raise
     return state
+
+
+def _raise_outside_qubit(circuit: QuantumCircuit) -> None:
+    """After an IndexError: ValueError naming the first gate on a qubit >= n_qubits."""
+    for i, (kind, qs, _) in enumerate(circuit.gates):
+        if max(qs, default=-1) >= circuit.n_qubits:
+            raise ValueError(f"gate {i} ({kind} on {tuple(qs)}) uses qubit {max(qs)},"
+                             f" outside 0..{circuit.n_qubits - 1}")
 
 
 def resources(circuit: QuantumCircuit) -> AdderResources:
@@ -351,8 +364,9 @@ def verify_adder(n: int, s: int, trials: int = 10000,
     packed into one big integer (random pairs by numpy, one bit plane at a
     time), and the expected sum comes from an independent bitwise
     ripple-carry over the same packed integers.  Raises ValueError for
-    trials < 1 when the check is not exhaustive, and for a `circuit` whose
-    a, b or g register is not n qubits.
+    trials < 1 when the check is not exhaustive, for a `circuit` whose
+    a, b or g register is not n qubits, and, as `simulate`, for a gate on a
+    qubit >= n_qubits.
     """
     exhaustive = n <= 10
     if not exhaustive and trials < 1:
@@ -384,7 +398,11 @@ def verify_adder(n: int, s: int, trials: int = 10000,
     for i in range(n):
         vals[circuit.registers["a"][i]] = a_bits[i]
         vals[circuit.registers["b"][i]] = b_bits[i]
-    _batch_run(circuit.gates, vals, all_ones)
+    try:
+        _batch_run(circuit.gates, vals, all_ones)
+    except IndexError:
+        _raise_outside_qubit(circuit)
+        raise
 
     bad = 0
     for i in range(n):

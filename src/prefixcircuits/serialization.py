@@ -9,36 +9,49 @@ JSON schema (smallest schema that preserves levels)::
       "outputs": [{"kind": "input", "index": 0}, ...]
     }
 
-Schema violations, including unknown keys and JSON booleans where an
-integer belongs, are reported with the path to the offending field.
+Export and import work on the circuit's four wire arrays; the JSON text is
+byte for byte that of ``json.dumps(doc, indent=1)``.  Schema violations,
+including unknown keys and JSON booleans where an integer belongs, are
+reported with the path to the offending field.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from itertools import groupby
+from operator import itemgetter
 
-from .core import GATE, INPUT, GateNode, PrefixCircuit, WireRef
+import numpy as np
+
+from .core import GATE, INPUT, GateNode, PrefixCircuit, WireRef, _node_arrays
+
+_KINDS = (INPUT, GATE)
+_GATE_KEYS = ("id", "left", "right", "level")
+_GATE_JSON = ('  {\n   "id": %d,\n   "left": {\n    "kind": "%s",\n    "index": %d\n   },'
+              '\n   "right": {\n    "kind": "%s",\n    "index": %d\n   },\n   "level": %d\n  }')
+_OUTPUT_JSON = '  {\n   "kind": "%s",\n   "index": %d\n  }'
 
 
 class SchemaError(ValueError):
     """JSON did not match the circuit schema; message carries the field path."""
 
 
+def _kinds_and_indices(wires: np.ndarray, n: int) -> tuple:
+    """The JSON refs' kind and index lists for an array of wire ids."""
+    is_gate = wires >= n
+    return list(map(_KINDS.__getitem__, is_gate.tolist())), (wires - n * is_gate).tolist()
+
+
 def export_json(circuit: PrefixCircuit) -> str:
-    doc = {
-        "n": circuit.n,
-        "gates": [
-            {
-                "id": g.id,
-                "left": {"kind": g.left.kind, "index": g.left.index},
-                "right": {"kind": g.right.kind, "index": g.right.index},
-                "level": g.level,
-            }
-            for g in circuit.gates
-        ],
-        "outputs": [{"kind": o.kind, "index": o.index} for o in circuit.outputs],
-    }
-    return json.dumps(doc, indent=1)
+    n, G = circuit.n, circuit.size
+    lk, li = _kinds_and_indices(circuit._lefts, n)
+    rk, ri = _kinds_and_indices(circuit._rights, n)
+    gates = ",\n".join(map(_GATE_JSON.__mod__, zip(
+        range(G), lk, li, rk, ri, circuit._levels.tolist())))
+    outputs = ",\n".join(map(_OUTPUT_JSON.__mod__, zip(*_kinds_and_indices(circuit._outs, n))))
+    gates = f"[\n{gates}\n ]" if G else "[]"
+    return f'{{\n "n": {n},\n "gates": {gates},\n "outputs": [\n{outputs}\n ]\n}}'
 
 
 def _check_keys(obj, path: str, keys: tuple) -> None:
@@ -62,6 +75,59 @@ def _ref(obj, path: str) -> WireRef:
     return WireRef(kind, index)
 
 
+def _bulk_arrays(n: int, raw_gates: list, raw_outputs) -> tuple | None:
+    """(lefts, rights, levels, outs), or None unless every field passes the
+    checks of `_raise_first_error` and every wire id fits int64."""
+    try:
+        ids, lefts, rights, levels = (list(map(itemgetter(k), raw_gates)) for k in _GATE_KEYS)
+        refs = lefts + rights + raw_outputs
+        kinds, indices = (list(map(itemgetter(k), refs)) for k in ("kind", "index"))
+        if (len(raw_outputs) != n or set(map(len, raw_gates)) - {4} or set(map(len, refs)) - {2}
+                or set(kinds) - set(_KINDS) or set(map(type, ids + levels + indices)) - {int}
+                or ids != list(range(len(ids)))):
+            return None
+        is_gate = np.array(list(map(GATE.__eq__, kinds)))
+        wires, levels = np.array(indices, dtype=np.int64), np.array(levels, dtype=np.int64)
+    except (KeyError, TypeError, OverflowError):  # not a list or dict, key missing, unhashable
+        return None
+    if (wires.min() < 0 or levels.size and levels.min() < 1 or (wires[~is_gate] >= n).any()
+            or (wires[is_gate] > 2 ** 63 - 1 - n).any()):
+        return None
+    wires[is_gate] += n
+    G = len(ids)
+    return wires[:G], wires[G:2 * G], levels, wires[2 * G:]
+
+
+def _raise_first_error(n: int, raw_gates: list, raw_outputs) -> None:
+    """Raises the SchemaError for the first bad field of a document that
+    `_bulk_arrays` rejected; input range and int64 overflow come last."""
+    gates = []
+    for i, g in enumerate(raw_gates):
+        path = f"$.gates[{i}]"
+        if type(g) is not dict or len(g) != 4:  # fast path, as in _ref
+            _check_keys(g, path, _GATE_KEYS)
+        gid = g.get("id")
+        if type(gid) is not int or gid != i:
+            raise SchemaError(f"{path}.id: expected {i}, got {gid!r}")
+        level = g.get("level")
+        if type(level) is not int or level < 1:
+            raise SchemaError(f"{path}.level: expected positive integer, got {level!r}")
+        gates.append(
+            GateNode(i, _ref(g.get("left"), path + ".left"),
+                     _ref(g.get("right"), path + ".right"), level)
+        )
+    if not isinstance(raw_outputs, list):
+        raise SchemaError("$.outputs: expected array")
+    if len(raw_outputs) != n:
+        raise SchemaError(f"$.outputs: expected {n} entries, got {len(raw_outputs)}")
+    outputs = [_ref(o, f"$.outputs[{i}]") for i, o in enumerate(raw_outputs)]
+    try:
+        _node_arrays(n, gates, outputs)
+    except (ValueError, OverflowError) as e:  # wire ids past int64 overflow
+        raise SchemaError(f"$.gates: {e}") from e
+    raise AssertionError("bulk import rejected a document that passes every check")
+
+
 def import_json(text: str) -> PrefixCircuit:
     try:
         doc = json.loads(text)
@@ -74,57 +140,36 @@ def import_json(text: str) -> PrefixCircuit:
     raw_gates = doc.get("gates")
     if not isinstance(raw_gates, list):
         raise SchemaError("$.gates: expected array")
-    gates = []
-    for i, g in enumerate(raw_gates):
-        path = f"$.gates[{i}]"
-        if type(g) is not dict or len(g) != 4:  # fast path, as in _ref
-            _check_keys(g, path, ("id", "left", "right", "level"))
-        gid = g.get("id")
-        if type(gid) is not int or gid != i:
-            raise SchemaError(f"{path}.id: expected {i}, got {gid!r}")
-        level = g.get("level")
-        if type(level) is not int or level < 1:
-            raise SchemaError(f"{path}.level: expected positive integer, got {level!r}")
-        gates.append(
-            GateNode(i, _ref(g.get("left"), path + ".left"),
-                     _ref(g.get("right"), path + ".right"), level)
-        )
-    raw_outputs = doc.get("outputs")
-    if not isinstance(raw_outputs, list):
-        raise SchemaError("$.outputs: expected array")
-    if len(raw_outputs) != n:
-        raise SchemaError(f"$.outputs: expected {n} entries, got {len(raw_outputs)}")
-    outputs = [_ref(o, f"$.outputs[{i}]") for i, o in enumerate(raw_outputs)]
+    arrays = _bulk_arrays(n, raw_gates, doc.get("outputs"))
+    if arrays is None:
+        _raise_first_error(n, raw_gates, doc.get("outputs"))
     try:
-        return PrefixCircuit(n, gates, outputs)
-    except (ValueError, OverflowError) as e:  # wire ids past int64 overflow
+        return PrefixCircuit.from_arrays(n, *arrays)
+    except ValueError as e:
         raise SchemaError(f"$.gates: {e}") from e
 
 
 def export_dot(circuit: PrefixCircuit, name: str = "prefix") -> str:
-    """Graphviz text: inputs as sources, gates rank-grouped by level."""
-    lines = [f"digraph {name} {{", "  rankdir=TB;", "  node [fontsize=10];"]
-    lines.append("  { rank=source;")
-    for i in range(circuit.n):
-        lines.append(f'    x{i} [shape=box, label="x{i}"];')
+    """Graphviz text: inputs as sources, gates rank-grouped by level.
+
+    Raises ValueError unless `name` is a plain DOT identifier.
+    """
+    if (not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name)
+            or name.lower() in ("graph", "digraph", "subgraph", "node", "edge", "strict")):
+        raise ValueError(f"graph name {name!r} is not a plain DOT identifier")
+    n, G = circuit.n, circuit.size
+    lines = [f"digraph {name} {{", "  rankdir=TB;", "  node [fontsize=10];", "  { rank=source;"]
+    lines += [f'    x{i} [shape=box, label="x{i}"];' for i in range(n)]
     lines.append("  }")
-    by_level: dict[int, list[int]] = {}
-    for g in circuit.gates:
-        by_level.setdefault(g.level, []).append(g.id)
-    for level in sorted(by_level):
-        lines.append("  { rank=same;")
-        for gid in by_level[level]:
-            lines.append(f'    g{gid} [shape=circle, label="g{gid}\\nL{level}"];')
-        lines.append("  }")
-
-    def node(ref: WireRef) -> str:
-        return f"x{ref.index}" if ref.kind == INPUT else f"g{ref.index}"
-
-    for g in circuit.gates:
-        lines.append(f"  {node(g.left)} -> g{g.id};")
-        lines.append(f"  {node(g.right)} -> g{g.id};")
-    for i, o in enumerate(circuit.outputs):
-        lines.append(f'  y{i} [shape=plaintext, label="y{i}"];')
-        lines.append(f"  {node(o)} -> y{i} [style=dashed];")
+    order = np.argsort(circuit._levels, kind="stable").tolist()
+    for level, gs in groupby(order, circuit._levels.tolist().__getitem__):
+        lines += ["  { rank=same;", *(f'    g{g} [shape=circle, label="g{g}\\nL{level}"];'
+                                      for g in gs), "  }"]
+    names = [f"x{i}" for i in range(n)] + [f"g{g}" for g in range(G)]
+    for g, l, r in zip(range(G), circuit._lefts.tolist(), circuit._rights.tolist()):
+        lines += [f"  {names[l]} -> g{g};", f"  {names[r]} -> g{g};"]
+    for i, o in enumerate(circuit._outs.tolist()):
+        lines += [f'  y{i} [shape=plaintext, label="y{i}"];',
+                  f"  {names[o]} -> y{i} [style=dashed];"]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -122,6 +122,20 @@ class TestVerify:
             with pytest.raises(ValueError, match="registers a, b, g"):
                 verify_adder(11, 2, trials=10, circuit=QuantumCircuit(short, c.gates))
 
+    def test_gate_outside_registers_rejected(self):
+        # with z left out of the registers, n_qubits ends below the copy pool
+        c = build_adder(12, 3)
+        regs = {name: qs for name, qs in c.registers.items() if name != "z"}
+        short = QuantumCircuit(regs, c.gates, 12, 3)
+        nq = short.n_qubits
+        first = next(i for i, g in enumerate(c.gates) if max(g.qubits) >= nq)
+        q = next(q for q in c.gates[first].qubits if q >= nq)
+        want = rf"^gate {first} \(.*\) uses qubit {q}, outside 0\.\.{nq - 1}$"
+        with pytest.raises(ValueError, match=want):
+            verify_adder(12, 3, trials=5, circuit=short)
+        with pytest.raises(ValueError, match=want):
+            simulate(short, [0] * nq)
+
     def test_random_counterexample_is_first_failing_pair(self):
         # a lost g-init Toffoli leaves g[i] clear where a[i] = b[i] = 1, so a
         # pair fails with probability 1/4 and the first failure moves with

@@ -7,7 +7,127 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prefixcircuits as pc
-from prefixcircuits import SchemaError, export_dot, export_json, import_json
+from prefixcircuits import (
+    GATE,
+    INPUT,
+    GateNode,
+    PrefixCircuit,
+    SchemaError,
+    WireRef,
+    export_dot,
+    export_json,
+    import_json,
+)
+
+
+# -- reference copies: the per-gate exporters and importer that went through
+# the GateNode/WireRef views, kept verbatim as the differential oracle --------
+
+
+def _ref_export_json(circuit: PrefixCircuit) -> str:
+    doc = {
+        "n": circuit.n,
+        "gates": [
+            {
+                "id": g.id,
+                "left": {"kind": g.left.kind, "index": g.left.index},
+                "right": {"kind": g.right.kind, "index": g.right.index},
+                "level": g.level,
+            }
+            for g in circuit.gates
+        ],
+        "outputs": [{"kind": o.kind, "index": o.index} for o in circuit.outputs],
+    }
+    return json.dumps(doc, indent=1)
+
+
+def _ref_check_keys(obj, path: str, keys: tuple) -> None:
+    """Raises unless `obj` is a JSON object with no keys outside `keys`."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{path}: expected object, got {type(obj).__name__}")
+    if obj.keys() - set(keys):
+        raise SchemaError(f"{path}: unknown key(s) {sorted(obj.keys() - set(keys))}")
+
+
+def _ref_ref(obj, path: str) -> WireRef:
+    # fast path: at this size a stray key means a missing one, rejected below
+    if type(obj) is not dict or len(obj) != 2:
+        _ref_check_keys(obj, path, ("kind", "index"))
+    kind = obj.get("kind")
+    if kind not in (INPUT, GATE):
+        raise SchemaError(f"{path}.kind: expected 'input' or 'gate', got {kind!r}")
+    index = obj.get("index")
+    if type(index) is not int or index < 0:  # bool is an int subclass
+        raise SchemaError(f"{path}.index: expected nonnegative integer, got {index!r}")
+    return WireRef(kind, index)
+
+
+def _ref_import_json(text: str) -> PrefixCircuit:
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise SchemaError(f"$: not valid JSON ({e})") from e
+    _ref_check_keys(doc, "$", ("n", "gates", "outputs"))
+    n = doc.get("n")
+    if type(n) is not int or n < 1:
+        raise SchemaError(f"$.n: expected positive integer, got {n!r}")
+    raw_gates = doc.get("gates")
+    if not isinstance(raw_gates, list):
+        raise SchemaError("$.gates: expected array")
+    gates = []
+    for i, g in enumerate(raw_gates):
+        path = f"$.gates[{i}]"
+        if type(g) is not dict or len(g) != 4:  # fast path, as in _ref
+            _ref_check_keys(g, path, ("id", "left", "right", "level"))
+        gid = g.get("id")
+        if type(gid) is not int or gid != i:
+            raise SchemaError(f"{path}.id: expected {i}, got {gid!r}")
+        level = g.get("level")
+        if type(level) is not int or level < 1:
+            raise SchemaError(f"{path}.level: expected positive integer, got {level!r}")
+        gates.append(
+            GateNode(i, _ref_ref(g.get("left"), path + ".left"),
+                     _ref_ref(g.get("right"), path + ".right"), level)
+        )
+    raw_outputs = doc.get("outputs")
+    if not isinstance(raw_outputs, list):
+        raise SchemaError("$.outputs: expected array")
+    if len(raw_outputs) != n:
+        raise SchemaError(f"$.outputs: expected {n} entries, got {len(raw_outputs)}")
+    outputs = [_ref_ref(o, f"$.outputs[{i}]") for i, o in enumerate(raw_outputs)]
+    try:
+        return PrefixCircuit(n, gates, outputs)
+    except (ValueError, OverflowError) as e:  # wire ids past int64 overflow
+        raise SchemaError(f"$.gates: {e}") from e
+
+
+def _ref_export_dot(circuit: PrefixCircuit, name: str = "prefix") -> str:
+    """Graphviz text: inputs as sources, gates rank-grouped by level."""
+    lines = [f"digraph {name} {{", "  rankdir=TB;", "  node [fontsize=10];"]
+    lines.append("  { rank=source;")
+    for i in range(circuit.n):
+        lines.append(f'    x{i} [shape=box, label="x{i}"];')
+    lines.append("  }")
+    by_level: dict[int, list[int]] = {}
+    for g in circuit.gates:
+        by_level.setdefault(g.level, []).append(g.id)
+    for level in sorted(by_level):
+        lines.append("  { rank=same;")
+        for gid in by_level[level]:
+            lines.append(f'    g{gid} [shape=circle, label="g{gid}\\nL{level}"];')
+        lines.append("  }")
+
+    def node(ref: WireRef) -> str:
+        return f"x{ref.index}" if ref.kind == INPUT else f"g{ref.index}"
+
+    for g in circuit.gates:
+        lines.append(f"  {node(g.left)} -> g{g.id};")
+        lines.append(f"  {node(g.right)} -> g{g.id};")
+    for i, o in enumerate(circuit.outputs):
+        lines.append(f'  y{i} [shape=plaintext, label="y{i}"];')
+        lines.append(f"  {node(o)} -> y{i} [style=dashed];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 GENERATORS = {
@@ -44,6 +164,153 @@ class TestJsonRoundTrip:
         for c in (pc.sklansky(13), pc.kogge_stone(9), pc.brent_kung(21),
                   pc.ladner_fischer(17, 2)):
             assert import_json(export_json(c)) == c
+
+
+DIFF_SIZES = [*range(1, 131), 255, 256, 511, 512]
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_bytes_identical_and_round_trip(self, name):
+        for n in DIFF_SIZES:
+            if name == "ladner-fischer-2" and n < 3:  # k = 2 needs ceil(log2 n) >= 2
+                continue
+            c = GENERATORS[name](n)
+            text = export_json(c)
+            assert text == _ref_export_json(c), (name, n)
+            assert export_dot(c) == _ref_export_dot(c), (name, n)
+            assert import_json(text) == _ref_import_json(text) == c, (name, n)
+
+    @pytest.mark.parametrize("edit", [
+        # the first failing ref, in flattening order, names the error
+        lambda d: (d["gates"][0]["left"].update(kind="gate", index=2 ** 70),
+                   d["gates"][1]["right"].update(index=9)),
+        lambda d: (d["gates"][0]["right"].update(index=9),
+                   d["gates"][1]["left"].update(index=2 ** 70)),
+        lambda d: (d["gates"][1].update(level=2 ** 70), d["outputs"][0].update(index=9)),
+        lambda d: (d["outputs"][0].update(kind="gate", index=2 ** 63 - 2),
+                   d["outputs"][2].update(index=9)),
+        lambda d: d["outputs"][1].update(kind="gate", index=2 ** 63 - 2),
+        lambda d: d["gates"][1]["left"].update(index=2 ** 63 - 3),
+        lambda d: d["gates"][0]["left"].update(index=3),
+        lambda d: d["outputs"][2].update(kind="input", index=3),
+    ], ids=["overflow-then-range", "range-then-overflow", "level-overflow",
+            "output-range-before-overflow", "output-overflow", "wire-past-int64",
+            "input-n", "output-input-n"])
+    def test_range_and_overflow_errors_in_reference_order(self, edit):
+        doc = json.loads(export_json(pc.serial(3)))
+        edit(doc)
+        text = json.dumps(doc)
+        with pytest.raises(SchemaError) as want:
+            _ref_import_json(text)
+        with pytest.raises(SchemaError) as got:
+            import_json(text)
+        assert str(got.value) == str(want.value)
+
+
+KRONECKER_3_2_JSON = """{
+ "n": 3,
+ "gates": [
+  {
+   "id": 0,
+   "left": {
+    "kind": "input",
+    "index": 0
+   },
+   "right": {
+    "kind": "input",
+    "index": 1
+   },
+   "level": 1
+  },
+  {
+   "id": 1,
+   "left": {
+    "kind": "gate",
+    "index": 0
+   },
+   "right": {
+    "kind": "input",
+    "index": 2
+   },
+   "level": 2
+  }
+ ],
+ "outputs": [
+  {
+   "kind": "input",
+   "index": 0
+  },
+  {
+   "kind": "gate",
+   "index": 0
+  },
+  {
+   "kind": "gate",
+   "index": 1
+  }
+ ]
+}"""
+
+KRONECKER_3_2_DOT = r"""digraph prefix {
+  rankdir=TB;
+  node [fontsize=10];
+  { rank=source;
+    x0 [shape=box, label="x0"];
+    x1 [shape=box, label="x1"];
+    x2 [shape=box, label="x2"];
+  }
+  { rank=same;
+    g0 [shape=circle, label="g0\nL1"];
+  }
+  { rank=same;
+    g1 [shape=circle, label="g1\nL2"];
+  }
+  x0 -> g0;
+  x1 -> g0;
+  g0 -> g1;
+  x2 -> g1;
+  y0 [shape=plaintext, label="y0"];
+  x0 -> y0 [style=dashed];
+  y1 [shape=plaintext, label="y1"];
+  g0 -> y1 [style=dashed];
+  y2 [shape=plaintext, label="y2"];
+  g1 -> y2 [style=dashed];
+}
+"""
+
+SERIAL_1_JSON = """{
+ "n": 1,
+ "gates": [],
+ "outputs": [
+  {
+   "kind": "input",
+   "index": 0
+  }
+ ]
+}"""
+
+SERIAL_1_DOT = """digraph prefix {
+  rankdir=TB;
+  node [fontsize=10];
+  { rank=source;
+    x0 [shape=box, label="x0"];
+  }
+  y0 [shape=plaintext, label="y0"];
+  x0 -> y0 [style=dashed];
+}
+"""
+
+
+class TestGoldens:
+    @pytest.mark.parametrize("circuit, json_text, dot_text", [
+        (pc.kronecker_circuit(3, 2), KRONECKER_3_2_JSON, KRONECKER_3_2_DOT),
+        (pc.serial(1), SERIAL_1_JSON, SERIAL_1_DOT),
+    ], ids=["kronecker-3-2", "serial-1"])
+    def test_literal_text(self, circuit, json_text, dot_text):
+        assert export_json(circuit) == json_text
+        assert export_dot(circuit) == dot_text
+        assert import_json(json_text) == circuit
 
 
 class TestSchemaErrors:
@@ -137,6 +404,19 @@ def damaged_documents(draw):
     return json.dumps(doc)
 
 
+@st.composite
+def retyped_fields(draw):
+    """A valid export with one or two integer fields set to a small integer
+    or a boolean: the edges of the level, index and input-range checks."""
+    gen = draw(st.sampled_from(sorted(GENERATORS)))
+    doc = json.loads(export_json(GENERATORS[gen](draw(st.integers(4, 7)))))
+    leaves = [(node, key) for node, key in _slots(doc) if type(node[key]) is int]
+    for _ in range(draw(st.integers(1, 2))):
+        node, key = draw(st.sampled_from(leaves))
+        node[key] = draw(st.integers(-1, 9) | st.booleans())
+    return json.dumps(doc)
+
+
 class TestImportFuzz:
     @given(st.one_of(st.text(max_size=40), JSON_VALUES.map(json.dumps),
                      damaged_documents()))
@@ -147,6 +427,19 @@ class TestImportFuzz:
         except SchemaError:
             return
         assert import_json(export_json(c)) == c
+
+    @given(st.one_of(st.text(max_size=40), JSON_VALUES.map(json.dumps),
+                     damaged_documents(), retyped_fields()))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_import(self, text):
+        def outcome(importer):
+            try:
+                return importer(text)
+            except SchemaError as e:
+                return str(e)
+
+        got, want = outcome(import_json), outcome(_ref_import_json)
+        assert type(got) is type(want) and got == want
 
     @pytest.mark.parametrize("text", [
         "[" * 100_000,
@@ -172,3 +465,12 @@ class TestDot:
         c = pc.kronecker_circuit(27, 3)
         text = export_dot(c)
         assert text.count("shape=circle") == c.size
+
+    def test_plain_name_used(self):
+        assert export_dot(pc.serial(2), name="adder_16").startswith("digraph adder_16 {\n")
+
+    @pytest.mark.parametrize("name", ["my circuit", "a{b", "1x", "", "a-b", "x\n", "node",
+                                      "Digraph"])
+    def test_unsafe_name_rejected(self, name):
+        with pytest.raises(ValueError, match="not a plain DOT identifier"):
+            export_dot(pc.serial(2), name=name)
