@@ -3,42 +3,25 @@
 A prefix circuit over n inputs is a DAG of binary-operator nodes.  Gate g
 computes ``value(left) o value(right)`` for an associative operator ``o``;
 operand order is preserved everywhere, so non-commutative operators are
-supported.  ``outputs[i]`` designates the wire that carries the prefix
-``x(0) o x(1) o ... o x(i)``.
+supported.
 
-Wires are identified internally by flat integer ids: ``0..n-1`` are the
-inputs, ``n + g`` is the output of gate ``g``.  Gates are stored in
-topological order (every operand refers to an input or an earlier gate),
-each with an explicit level.  Levels are declared by generators and only
-checked here, so that a generator's schedule survives round-trips; the
-depth metric is the largest declared level.
+A circuit is four integer arrays over flat wire ids, ``0..n-1`` for the
+inputs and ``n + g`` for the output of gate ``g``: ``lefts[g]`` and
+``rights[g]`` are gate g's operands, ``levels[g]`` its level, and
+``outs[i]`` the wire that carries the prefix ``x(0) o x(1) o ... o x(i)``.
+:meth:`PrefixCircuit.from_arrays` is the one constructor.  Gates are stored
+in topological order (every operand refers to an input or an earlier gate).
+Levels are declared by generators and only checked here, so that a
+generator's schedule survives round-trips; the depth metric is the largest
+declared level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-
-INPUT = "input"
-GATE = "gate"
-
-
-class WireRef(NamedTuple):
-    """Reference to an input position or a gate output."""
-
-    kind: str  # INPUT or GATE
-    index: int
-
-
-class GateNode(NamedTuple):
-    """One binary-operator node: output = value(left) o value(right)."""
-
-    id: int
-    left: WireRef
-    right: WireRef
-    level: int
 
 
 @dataclass(frozen=True)
@@ -51,41 +34,33 @@ class CircuitMetrics:
 
 
 class CircuitStructureError(ValueError):
-    """Raised for malformed circuits; names the offending gate."""
+    """Raised for malformed circuits; names the offending gate, output or array."""
 
 
 class PrefixCircuit:
     """Immutable leveled DAG of binary gates with designated prefix outputs."""
 
-    __slots__ = ("n", "_lefts", "_rights", "_levels", "_outs", "_gates", "_outputs")
-
-    def __init__(self, n: int, gates: Iterable[GateNode], outputs: Sequence[WireRef]):
-        self._init_from_arrays(n, *_node_arrays(n, gates, outputs))
+    __slots__ = ("n", "_lefts", "_rights", "_levels", "_outs")
 
     @classmethod
     def from_arrays(cls, n, lefts, rights, levels, outs) -> "PrefixCircuit":
-        """Construct from flat wire-id arrays (generators' fast path)."""
-        self = object.__new__(cls)
-        self._init_from_arrays(
-            n,
-            np.asarray(lefts, dtype=np.int64),
-            np.asarray(rights, dtype=np.int64),
-            np.asarray(levels, dtype=np.int64),
-            np.asarray(outs, dtype=np.int64),
-        )
-        return self
+        """Construct from flat wire-id arrays (see the module docstring).
 
-    def _init_from_arrays(self, n, lefts, rights, levels, outs):
+        Raises CircuitStructureError for a malformed circuit, including a
+        non-empty array whose values are not integers.
+        """
         if n < 1:
             raise CircuitStructureError("circuit needs at least one input")
+        self = object.__new__(cls)
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "_lefts", lefts)
-        object.__setattr__(self, "_rights", rights)
-        object.__setattr__(self, "_levels", levels)
-        object.__setattr__(self, "_outs", outs)
-        object.__setattr__(self, "_gates", None)
-        object.__setattr__(self, "_outputs", None)
+        for name, a in (("lefts", lefts), ("rights", rights), ("levels", levels),
+                        ("outs", outs)):
+            a = np.asarray(a)
+            if a.size and a.dtype.kind not in "iu":  # no silent float or bool casts
+                raise CircuitStructureError(f"{name}: expected integers, got dtype {a.dtype}")
+            object.__setattr__(self, "_" + name, a.astype(np.int64, copy=False))
         self._check_structure()
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("PrefixCircuit is immutable")
@@ -125,31 +100,9 @@ class PrefixCircuit:
             i = int(np.argmax((outs < 0) | (outs >= n + G)))
             raise CircuitStructureError(f"output {i}: dangling wire {int(outs[i])}")
 
-    # -- views ---------------------------------------------------------------
-
     @property
     def size(self) -> int:
         return len(self._lefts)
-
-    @property
-    def gates(self) -> tuple:
-        if self._gates is None:
-            n = self.n
-            nodes = tuple(
-                GateNode(g, _unflatten(self._lefts[g], n), _unflatten(self._rights[g], n),
-                         int(self._levels[g]))
-                for g in range(self.size)
-            )
-            object.__setattr__(self, "_gates", nodes)
-        return self._gates
-
-    @property
-    def outputs(self) -> tuple:
-        if self._outputs is None:
-            object.__setattr__(
-                self, "_outputs", tuple(_unflatten(w, self.n) for w in self._outs)
-            )
-        return self._outputs
 
     def __eq__(self, other):
         return (
@@ -163,38 +116,6 @@ class PrefixCircuit:
 
     def __repr__(self):
         return f"PrefixCircuit(n={self.n}, size={self.size})"
-
-
-def _node_arrays(n: int, gates: Iterable[GateNode], outputs: Sequence[WireRef]) -> tuple:
-    """(lefts, rights, levels, outs); raises CircuitStructureError for an
-    out-of-order id or an input index >= n, OverflowError past int64."""
-    gates = list(gates)
-    lefts = np.empty(len(gates), dtype=np.int64)
-    rights = np.empty(len(gates), dtype=np.int64)
-    levels = np.empty(len(gates), dtype=np.int64)
-    for i, g in enumerate(gates):
-        if g.id != i:
-            raise CircuitStructureError(f"gate {g.id}: ids must be 0..G-1 in order")
-        lefts[i] = _flatten(g.left, n)
-        rights[i] = _flatten(g.right, n)
-        levels[i] = g.level
-    outs = np.array([_flatten(o, n) for o in outputs], dtype=np.int64)
-    return lefts, rights, levels, outs
-
-
-def _flatten(ref: WireRef, n: int) -> int:
-    if ref.kind == INPUT:
-        if not 0 <= ref.index < n:
-            raise CircuitStructureError(f"input index {ref.index} out of range")
-        return ref.index
-    if ref.kind == GATE:
-        return n + ref.index
-    raise CircuitStructureError(f"unknown wire kind {ref.kind!r}")
-
-
-def _unflatten(wire: int, n: int) -> WireRef:
-    w = int(wire)
-    return WireRef(INPUT, w) if w < n else WireRef(GATE, w - n)
 
 
 def evaluate(circuit: PrefixCircuit, inputs: Sequence, op: Callable):

@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -242,8 +244,9 @@ def simulate(circuit: QuantumCircuit, initial) -> list:
     """Apply the gates classically over {0,1}; returns the final assignment.
 
     `initial` is a sequence assigning every qubit (index = qubit id) or a
-    dict mapping qubit ids to bits.  A gate on a qubit >= n_qubits raises
-    ValueError; negative ids are not checked (Python indexing wraps them).
+    dict mapping qubit ids to bits.  A gate on a qubit outside
+    0..n_qubits-1, negative ids included, or of an unknown kind raises
+    ValueError.
     """
     nq = circuit.n_qubits
     if isinstance(initial, dict):
@@ -255,28 +258,7 @@ def simulate(circuit: QuantumCircuit, initial) -> list:
         if len(initial) != nq:
             raise ValueError(f"expected {nq} qubit values, got {len(initial)}")
         state = [int(v) & 1 for v in initial]
-    try:
-        for kind, qs, _ in circuit.gates:
-            if kind == TOFFOLI:
-                state[qs[2]] ^= state[qs[0]] & state[qs[1]]
-            elif kind == CNOT:
-                state[qs[1]] ^= state[qs[0]]
-            elif kind == NOT:
-                state[qs[0]] ^= 1
-            else:
-                raise ValueError(f"unknown gate kind {kind!r}")
-    except IndexError:
-        _raise_outside_qubit(circuit)
-        raise
-    return state
-
-
-def _raise_outside_qubit(circuit: QuantumCircuit) -> None:
-    """After an IndexError: ValueError naming the first gate on a qubit >= n_qubits."""
-    for i, (kind, qs, _) in enumerate(circuit.gates):
-        if max(qs, default=-1) >= circuit.n_qubits:
-            raise ValueError(f"gate {i} ({kind} on {tuple(qs)}) uses qubit {max(qs)},"
-                             f" outside 0..{circuit.n_qubits - 1}")
+    return _batch_run(circuit.gates, state, 1)
 
 
 def resources(circuit: QuantumCircuit) -> AdderResources:
@@ -322,14 +304,31 @@ class AdderCheckReport:
 
 
 def _batch_run(gates, vals: list, all_ones: int) -> list:
-    """Simulate with one big integer per qubit (bit t = trial t's value)."""
-    for kind, qs, _ in gates:
-        if kind == TOFFOLI:
-            vals[qs[2]] ^= vals[qs[0]] & vals[qs[1]]
-        elif kind == CNOT:
-            vals[qs[1]] ^= vals[qs[0]]
-        else:
-            vals[qs[0]] ^= all_ones
+    """Apply `gates` to `vals`, one integer per qubit (bit t = trial t's value;
+    NOT flips the bits of `all_ones`).
+
+    Raises ValueError for a gate of an unknown kind, and for one on a qubit
+    outside 0..len(vals)-1 naming the first such gate.
+    """
+    try:
+        if min(chain.from_iterable(map(itemgetter(1), gates)), default=0) < 0:
+            raise IndexError  # indexing would wrap a negative id
+        for kind, qs, _ in gates:
+            if kind == TOFFOLI:
+                vals[qs[2]] ^= vals[qs[0]] & vals[qs[1]]
+            elif kind == CNOT:
+                vals[qs[1]] ^= vals[qs[0]]
+            elif kind == NOT:
+                vals[qs[0]] ^= all_ones
+            else:
+                raise ValueError(f"unknown gate kind {kind!r}")
+    except IndexError:
+        for i, (kind, qs, _) in enumerate(gates):
+            for q in qs:
+                if not 0 <= q < len(vals):
+                    raise ValueError(f"gate {i} ({kind} on {tuple(qs)}) uses qubit {q},"
+                                     f" outside 0..{len(vals) - 1}") from None
+        raise
     return vals
 
 
@@ -366,7 +365,8 @@ def verify_adder(n: int, s: int, trials: int = 10000,
     ripple-carry over the same packed integers.  Raises ValueError for
     trials < 1 when the check is not exhaustive, for a `circuit` whose
     a, b or g register is not n qubits, and, as `simulate`, for a gate on a
-    qubit >= n_qubits.
+    qubit outside 0..n_qubits-1, negative ids included, or of an unknown
+    kind.
     """
     exhaustive = n <= 10
     if not exhaustive and trials < 1:
@@ -398,11 +398,7 @@ def verify_adder(n: int, s: int, trials: int = 10000,
     for i in range(n):
         vals[circuit.registers["a"][i]] = a_bits[i]
         vals[circuit.registers["b"][i]] = b_bits[i]
-    try:
-        _batch_run(circuit.gates, vals, all_ones)
-    except IndexError:
-        _raise_outside_qubit(circuit)
-        raise
+    _batch_run(circuit.gates, vals, all_ones)
 
     bad = 0
     for i in range(n):

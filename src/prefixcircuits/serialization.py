@@ -9,10 +9,12 @@ JSON schema (smallest schema that preserves levels)::
       "outputs": [{"kind": "input", "index": 0}, ...]
     }
 
-Export and import work on the circuit's four wire arrays; the JSON text is
-byte for byte that of ``json.dumps(doc, indent=1)``.  Schema violations,
-including unknown keys and JSON booleans where an integer belongs, are
-reported with the path to the offending field.
+A ref is the JSON form of a flat wire id of :mod:`.core`: input ``i`` is
+wire ``i`` and gate ``g`` is wire ``n + g``; no other module knows this
+format.  Export and import work on the circuit's four wire arrays; the JSON
+text is byte for byte that of ``json.dumps(doc, indent=1)``.  Schema
+violations, including unknown keys and JSON booleans where an integer
+belongs, are reported with the path to the offending field.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import GATE, INPUT, GateNode, PrefixCircuit, WireRef, _node_arrays
+from .core import PrefixCircuit
 
-_KINDS = (INPUT, GATE)
+_INPUT, _GATE = _KINDS = ("input", "gate")
 _GATE_KEYS = ("id", "left", "right", "level")
 _GATE_JSON = ('  {\n   "id": %d,\n   "left": {\n    "kind": "%s",\n    "index": %d\n   },'
               '\n   "right": {\n    "kind": "%s",\n    "index": %d\n   },\n   "level": %d\n  }')
@@ -62,17 +64,18 @@ def _check_keys(obj, path: str, keys: tuple) -> None:
         raise SchemaError(f"{path}: unknown key(s) {sorted(obj.keys() - set(keys))}")
 
 
-def _ref(obj, path: str) -> WireRef:
+def _ref(obj, path: str) -> tuple:
+    """(kind, index) of a JSON wire ref; its range is checked later."""
     # fast path: at this size a stray key means a missing one, rejected below
     if type(obj) is not dict or len(obj) != 2:
         _check_keys(obj, path, ("kind", "index"))
     kind = obj.get("kind")
-    if kind not in (INPUT, GATE):
+    if kind not in _KINDS:
         raise SchemaError(f"{path}.kind: expected 'input' or 'gate', got {kind!r}")
     index = obj.get("index")
     if type(index) is not int or index < 0:  # bool is an int subclass
         raise SchemaError(f"{path}.index: expected nonnegative integer, got {index!r}")
-    return WireRef(kind, index)
+    return kind, index
 
 
 def _bulk_arrays(n: int, raw_gates: list, raw_outputs) -> tuple | None:
@@ -86,7 +89,7 @@ def _bulk_arrays(n: int, raw_gates: list, raw_outputs) -> tuple | None:
                 or set(kinds) - set(_KINDS) or set(map(type, ids + levels + indices)) - {int}
                 or ids != list(range(len(ids)))):
             return None
-        is_gate = np.array(list(map(GATE.__eq__, kinds)))
+        is_gate = np.array(list(map(_GATE.__eq__, kinds)))
         wires, levels = np.array(indices, dtype=np.int64), np.array(levels, dtype=np.int64)
     except (KeyError, TypeError, OverflowError):  # not a list or dict, key missing, unhashable
         return None
@@ -101,7 +104,7 @@ def _bulk_arrays(n: int, raw_gates: list, raw_outputs) -> tuple | None:
 def _raise_first_error(n: int, raw_gates: list, raw_outputs) -> None:
     """Raises the SchemaError for the first bad field of a document that
     `_bulk_arrays` rejected; input range and int64 overflow come last."""
-    gates = []
+    fields = []  # (kind, index) refs and ("level", level), in array order
     for i, g in enumerate(raw_gates):
         path = f"$.gates[{i}]"
         if type(g) is not dict or len(g) != 4:  # fast path, as in _ref
@@ -112,19 +115,22 @@ def _raise_first_error(n: int, raw_gates: list, raw_outputs) -> None:
         level = g.get("level")
         if type(level) is not int or level < 1:
             raise SchemaError(f"{path}.level: expected positive integer, got {level!r}")
-        gates.append(
-            GateNode(i, _ref(g.get("left"), path + ".left"),
-                     _ref(g.get("right"), path + ".right"), level)
-        )
+        fields += (_ref(g.get("left"), path + ".left"),
+                   _ref(g.get("right"), path + ".right"), ("level", level))
     if not isinstance(raw_outputs, list):
         raise SchemaError("$.outputs: expected array")
     if len(raw_outputs) != n:
         raise SchemaError(f"$.outputs: expected {n} entries, got {len(raw_outputs)}")
     outputs = [_ref(o, f"$.outputs[{i}]") for i, o in enumerate(raw_outputs)]
-    try:
-        _node_arrays(n, gates, outputs)
-    except (ValueError, OverflowError) as e:  # wire ids past int64 overflow
-        raise SchemaError(f"$.gates: {e}") from e
+    # the error names the first field out of range or past int64 as the
+    # arrays are filled: gate by gate, then the outputs, inputs before gates
+    for kind, index in fields + sorted(outputs, key=lambda ref: ref[0] == _GATE):
+        if kind == _INPUT and index >= n:
+            raise SchemaError(f"$.gates: input index {index} out of range")
+        try:
+            np.int64(index + n * (kind == _GATE))
+        except OverflowError as e:
+            raise SchemaError(f"$.gates: {e}") from e
     raise AssertionError("bulk import rejected a document that passes every check")
 
 

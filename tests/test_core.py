@@ -6,14 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import prefixcircuits as pc
-from prefixcircuits import (
-    GATE,
-    INPUT,
-    CircuitStructureError,
-    GateNode,
-    PrefixCircuit,
-    WireRef,
-)
+from prefixcircuits import CircuitStructureError, PrefixCircuit
 
 
 def ref_validate(circuit):
@@ -187,9 +180,8 @@ class TestValidatePrefix:
 
     def test_swapped_outputs_false(self):
         c = pc.serial(5)
-        outs = list(c.outputs)
-        outs[2], outs[3] = outs[3], outs[2]
-        broken = PrefixCircuit(5, c.gates, outs)
+        outs = c._outs[[0, 1, 3, 2, 4]]
+        broken = PrefixCircuit.from_arrays(5, c._lefts, c._rights, c._levels, outs)
         assert not pc.validate_prefix(broken)
 
     def test_interval_trick_matches_real_concatenation(self):
@@ -198,9 +190,8 @@ class TestValidatePrefix:
                  pc.kronecker_circuit(17, 3)]
         # and a broken one
         c = pc.serial(6)
-        outs = list(c.outputs)
-        outs[1], outs[4] = outs[4], outs[1]
-        cases.append(PrefixCircuit(6, c.gates, outs))
+        outs = c._outs[[0, 4, 2, 3, 1, 5]]
+        cases.append(PrefixCircuit.from_arrays(6, c._lefts, c._rights, c._levels, outs))
         for circuit in cases:
             assert pc.validate_prefix(circuit) == ref_validate(circuit)
 
@@ -220,22 +211,25 @@ class TestValidatePrefix:
 
     def test_structural_error_names_gate(self):
         with pytest.raises(CircuitStructureError, match="gate 0"):
-            PrefixCircuit(
-                2,
-                [GateNode(0, WireRef(GATE, 5), WireRef(INPUT, 0), 1)],
-                [WireRef(INPUT, 0), WireRef(INPUT, 1)],
-            )
+            PrefixCircuit.from_arrays(2, [2 + 5], [0], [1], [0, 1])  # reads gate 5
 
     def test_level_order_enforced(self):
         with pytest.raises(CircuitStructureError, match="level"):
-            PrefixCircuit(
-                3,
-                [
-                    GateNode(0, WireRef(INPUT, 0), WireRef(INPUT, 1), 2),
-                    GateNode(1, WireRef(GATE, 0), WireRef(INPUT, 2), 1),
-                ],
-                [WireRef(INPUT, 0), WireRef(GATE, 0), WireRef(GATE, 1)],
-            )
+            # gate 1, at level 1, reads gate 0 (wire 3), at level 2
+            PrefixCircuit.from_arrays(3, [0, 3], [1, 2], [2, 1], [0, 3, 4])
+
+    @pytest.mark.parametrize("arrays, name", [
+        (([0.9], [1.2], [1.7], [0, 2.5]), "lefts"),  # would truncate to serial(2)
+        (([0], [1], [1], np.array([False, True])), "outs"),
+        (([0], [1], [2 ** 70], [0, 2]), "levels"),  # an object array
+    ], ids=["float", "bool", "object"])
+    def test_non_integer_array_rejected(self, arrays, name):
+        with pytest.raises(CircuitStructureError, match=rf"^{name}: expected integers"):
+            PrefixCircuit.from_arrays(2, *arrays)
+
+    def test_empty_arrays_accepted(self):
+        # numpy reads an empty list as float64; it holds no value to misread
+        assert PrefixCircuit.from_arrays(1, [], [], [], [0]) == pc.serial(1)
 
 
 class TestMetrics:
@@ -262,26 +256,16 @@ class TestMetrics:
 
     def test_reorder_within_level_invariant(self):
         c = pc.kronecker_circuit(12, 3)
-        gates = list(c.gates)
-        # swap two final-layer gates (same level), renumber ids, remap refs
-        lvl = max(g.level for g in gates)
-        idx = [g.id for g in gates if g.level == lvl]
-        a, b = idx[0], idx[1]
-        perm = list(range(len(gates)))
-        perm[a], perm[b] = perm[b], perm[a]  # perm[new_pos] = old_id
-        old_to_new = {old: new for new, old in enumerate(perm)}
-
-        def remap(ref):
-            return WireRef(GATE, old_to_new[ref.index]) if ref.kind == GATE else ref
-
-        new_gates = [
-            GateNode(new, remap(gates[old].left), remap(gates[old].right),
-                     gates[old].level)
-            for new, old in enumerate(perm)
-        ]
-        new_outs = [remap(o) for o in c.outputs]
-        c2 = PrefixCircuit(c.n, new_gates, new_outs)
-        assert pc.metrics(c2) == pc.metrics(c)
+        n, G, levels = c.n, c.size, c._levels
+        # swap two final-layer gates (same level), renumber ids, remap wires
+        a, b = np.flatnonzero(levels == levels.max())[:2]
+        perm = np.arange(G)
+        perm[[a, b]] = perm[[b, a]]  # perm[new_pos] = old_id
+        wire = np.arange(n + G)
+        wire[n + perm] = n + np.arange(G)  # old wire id -> new
+        c2 = PrefixCircuit.from_arrays(n, wire[c._lefts[perm]], wire[c._rights[perm]],
+                                       levels[perm], wire[c._outs])
+        assert c2 != c and pc.metrics(c2) == pc.metrics(c)
 
 
 class TestSnirGap:
@@ -323,3 +307,9 @@ class TestFibDepthLowerBound:
         m = pc.metrics(pc.sklansky(4))
         assert pc.snir_gap(m, 4) == 0 and m.depth == 2
         assert pc.fib_depth_lower_bound(4) <= 2
+
+
+def test_exports_resolve_once():
+    # a name dropped from the package but left in __all__ breaks `import *`
+    assert [name for name in pc.__all__ if not hasattr(pc, name)] == []
+    assert len(set(pc.__all__)) == len(pc.__all__)

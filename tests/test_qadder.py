@@ -136,6 +136,25 @@ class TestVerify:
         with pytest.raises(ValueError, match=want):
             simulate(short, [0] * nq)
 
+    def test_unknown_kind_and_negative_qubit_rejected(self):
+        # each extra gate comes twice: applied as a NOT or on the qubit that
+        # Python's indexing wraps -1 to, the pair would cancel and pass
+        c = build_adder(4, 2)
+        b0, nq, g = c.registers["b"][0], c.n_qubits, len(c.gates)
+        for extra, want in (
+            (Gate("FOO", (b0,), None), r"^unknown gate kind 'FOO'$"),
+            (Gate(CNOT, (0, -1), None),
+             rf"^gate {g} \(CNOT on \(0, -1\)\) uses qubit -1, outside 0\.\.{nq - 1}$"),
+        ):
+            bad = QuantumCircuit(c.registers, c.gates + [extra] * 2, c.n, c.s)
+            with pytest.raises(ValueError, match=want):
+                verify_adder(4, 2, circuit=bad)
+            with pytest.raises(ValueError, match=want):
+                simulate(bad, [0] * nq)
+        tiny = QuantumCircuit({"a": [0, 1]}, [Gate(CNOT, (0, -1), None)])
+        with pytest.raises(ValueError, match=r"^gate 0 .* uses qubit -1, outside 0\.\.1$"):
+            simulate(tiny, [1, 0])
+
     def test_random_counterexample_is_first_failing_pair(self):
         # a lost g-init Toffoli leaves g[i] clear where a[i] = b[i] = 1, so a
         # pair fails with probability 1/4 and the first failure moves with
