@@ -64,6 +64,29 @@ class LayerOverlapError(ValueError):
     """Two gates in one labeled Toffoli layer touch the same qubit."""
 
 
+_KINDS = frozenset((NOT, CNOT, TOFFOLI))
+
+
+def _check_gates(gates, n_qubits: int):
+    """Raise ValueError for a gate of an unknown kind, or for one on a qubit
+    outside 0..n_qubits-1 (negative ids included) naming the first such gate.
+
+    Two C-level scans, over the kinds and over the set of qubit ids, clear a
+    well-formed gate list; only a bad one is walked gate by gate.
+    """
+    qubits = set(chain.from_iterable(map(itemgetter(1), gates)))
+    if _KINDS.issuperset(map(itemgetter(0), gates)) and (
+            not qubits or 0 <= min(qubits) <= max(qubits) < n_qubits):
+        return
+    for i, (kind, qs, _) in enumerate(gates):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        for q in qs:
+            if not 0 <= q < n_qubits:
+                raise ValueError(f"gate {i} ({kind} on {tuple(qs)}) uses qubit {q},"
+                                 f" outside 0..{n_qubits - 1}")
+
+
 class QuantumCircuit:
     """Ordered reversible gate list over named qubit registers."""
 
@@ -88,18 +111,14 @@ class QuantumCircuit:
 class _DepthCounter:
     """Gate-by-gate Toffoli count and dependence depth, without storing gates."""
 
-    def __init__(self):
+    def __init__(self, n_qubits: int):
         self.toffoli_count = 0
         self.toffoli_depth = 0
-        self._wd: list = []  # qubit -> depth of last write
-        self._rd: list = []  # qubit -> max depth among reads since that write
+        self._wd = [0] * n_qubits  # qubit -> depth of last write
+        self._rd = [0] * n_qubits  # qubit -> max depth among reads since that write
 
     def gate(self, kind, qubits, layer=None):
         wd, rd = self._wd, self._rd
-        hi = max(qubits)
-        if hi >= len(wd):
-            wd.extend([0] * (hi + 1 - len(wd)))
-            rd.extend([0] * (hi + 1 - len(rd)))
         if kind == TOFFOLI:
             c1, c2, t = qubits
             d = 1 + max(wd[c1], wd[c2], wd[t], rd[t])
@@ -265,8 +284,11 @@ def resources(circuit: QuantumCircuit) -> AdderResources:
     """Measured Toffoli count, dependence-chain Toffoli depth, and ancillas.
 
     Also checks that gates sharing a Toffoli layer label touch disjoint
-    qubits (raises LayerOverlapError otherwise).
+    qubits (raises LayerOverlapError otherwise).  Raises ValueError, as
+    `simulate` does, for a gate of an unknown kind or on a qubit outside
+    0..n_qubits-1.
     """
+    _check_gates(circuit.gates, circuit.n_qubits)
     seen: dict = {}
     for gate in circuit.gates:
         if gate.toffoli_layer is None:
@@ -278,7 +300,7 @@ def resources(circuit: QuantumCircuit) -> AdderResources:
                 f"layer {gate.toffoli_layer!r} reuses qubits {sorted(overlap)}"
             )
         used.update(gate.qubits)
-    counter = _DepthCounter()
+    counter = _DepthCounter(circuit.n_qubits)
     for gate in circuit.gates:
         counter.gate(gate.kind, gate.qubits, gate.toffoli_layer)
     total = sum(len(qs) for qs in circuit.registers.values())
@@ -307,28 +329,17 @@ def _batch_run(gates, vals: list, all_ones: int) -> list:
     """Apply `gates` to `vals`, one integer per qubit (bit t = trial t's value;
     NOT flips the bits of `all_ones`).
 
-    Raises ValueError for a gate of an unknown kind, and for one on a qubit
-    outside 0..len(vals)-1 naming the first such gate.
+    Raises ValueError, through :func:`_check_gates`, for a gate of an unknown
+    kind or on a qubit outside 0..len(vals)-1.
     """
-    try:
-        if min(chain.from_iterable(map(itemgetter(1), gates)), default=0) < 0:
-            raise IndexError  # indexing would wrap a negative id
-        for kind, qs, _ in gates:
-            if kind == TOFFOLI:
-                vals[qs[2]] ^= vals[qs[0]] & vals[qs[1]]
-            elif kind == CNOT:
-                vals[qs[1]] ^= vals[qs[0]]
-            elif kind == NOT:
-                vals[qs[0]] ^= all_ones
-            else:
-                raise ValueError(f"unknown gate kind {kind!r}")
-    except IndexError:
-        for i, (kind, qs, _) in enumerate(gates):
-            for q in qs:
-                if not 0 <= q < len(vals):
-                    raise ValueError(f"gate {i} ({kind} on {tuple(qs)}) uses qubit {q},"
-                                     f" outside 0..{len(vals) - 1}") from None
-        raise
+    _check_gates(gates, len(vals))
+    for kind, qs, _ in gates:
+        if kind == TOFFOLI:
+            vals[qs[2]] ^= vals[qs[0]] & vals[qs[1]]
+        elif kind == CNOT:
+            vals[qs[1]] ^= vals[qs[0]]
+        else:  # NOT
+            vals[qs[0]] ^= all_ones
     return vals
 
 
@@ -434,7 +445,12 @@ def verify_adder(n: int, s: int, trials: int = 10000,
 
 
 def netlist(circuit: QuantumCircuit) -> str:
-    """Line-oriented gate list: `T a b c`, `CX a b`, `X a`, layer comments."""
+    """Line-oriented gate list: `T a b c`, `CX a b`, `X a`, layer comments.
+
+    Raises ValueError, as `simulate` does, for a gate of an unknown kind or
+    on a qubit outside 0..n_qubits-1.
+    """
+    _check_gates(circuit.gates, circuit.n_qubits)
     lines = []
     current = object()
     for kind, qs, layer in circuit.gates:
@@ -445,7 +461,7 @@ def netlist(circuit: QuantumCircuit) -> str:
             lines.append(f"T {qs[0]} {qs[1]} {qs[2]}")
         elif kind == CNOT:
             lines.append(f"CX {qs[0]} {qs[1]}")
-        else:
+        else:  # NOT
             lines.append(f"X {qs[0]}")
     return "\n".join(lines) + "\n"
 

@@ -1,10 +1,19 @@
-"""Baseline generators against hand-counted and closed-form metrics."""
+"""Baseline generators against hand-counted and closed-form metrics, and
+against the list builders they replaced (tests/classic_reference.py)."""
 
 import math
 
+import numpy as np
 import pytest
 
 import prefixcircuits as pc
+from classic_reference import (
+    brent_kung as ref_brent_kung,
+    kogge_stone as ref_kogge_stone,
+    ladner_fischer as ref_ladner_fischer,
+    serial as ref_serial,
+    sklansky as ref_sklansky,
+)
 
 
 class TestSerial:
@@ -123,3 +132,94 @@ def test_all_generators_validate_to_512():
     for n in range(1, 513):
         for gen in (pc.serial, pc.sklansky, pc.kogge_stone, pc.brent_kung):
             assert pc.validate_prefix(gen(n)), (gen.__name__, n)
+
+
+# -- the array builders against the list builders they replaced ----------------
+
+DIFF_NS = list(range(1, 301)) + [511, 512, 513, 1000, 1024, 4097]
+PAIRS = [
+    (pc.serial, ref_serial),
+    (pc.sklansky, ref_sklansky),
+    (pc.kogge_stone, ref_kogge_stone),
+    (pc.brent_kung, ref_brent_kung),
+]
+
+
+def _arrays(c):
+    return c._lefts, c._rights, c._levels, c._outs
+
+
+def _kmax(n):
+    return math.ceil(math.log2(n)) if n > 1 else 0
+
+
+class TestMatchesListBuilders:
+    """Every gate sits at the id, with the operands and level, the list
+    builders gave it."""
+
+    @pytest.mark.parametrize("gen,ref", PAIRS, ids=lambda g: g.__name__)
+    def test_generator(self, gen, ref):
+        for n in DIFF_NS:
+            assert gen(n) == ref(n), n
+
+    def test_ladner_fischer_every_k(self):
+        for n in DIFF_NS:
+            for k in range(_kmax(n) + 1):
+                assert pc.ladner_fischer(n, k) == ref_ladner_fischer(n, k), (n, k)
+
+
+# literal arrays (lefts, rights, levels, outs) of the list builders
+GOLDEN = {
+    "sklansky(5)": (lambda: pc.sklansky(5), (
+        [0, 5, 3, 6, 6], [1, 2, 4, 3, 7], [1, 2, 1, 3, 3], [0, 5, 6, 8, 9])),
+    "kogge_stone(5)": (lambda: pc.kogge_stone(5), (
+        [0, 1, 2, 3, 0, 5, 6, 0], [1, 2, 3, 4, 6, 7, 8, 11],
+        [1, 1, 1, 1, 2, 2, 2, 3], [0, 5, 9, 10, 12])),
+    "brent_kung(6)": (lambda: pc.brent_kung(6), (
+        [0, 2, 4, 6, 9, 6, 9], [1, 3, 5, 7, 8, 2, 4], [1, 1, 1, 2, 3, 4, 4],
+        [0, 6, 11, 9, 12, 10])),
+    "ladner_fischer(7, 1)": (lambda: pc.ladner_fischer(7, 1), (
+        [0, 2, 4, 7, 9, 10, 10, 7, 10], [1, 3, 5, 8, 6, 9, 11, 2, 4],
+        [1, 1, 1, 2, 2, 3, 3, 2, 3], [0, 7, 14, 10, 15, 12, 13])),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_arrays(name):
+    build, want = GOLDEN[name]
+    assert [a.tolist() for a in _arrays(build())] == [list(w) for w in want]
+
+
+# the last entry makes test_tiny_n cover ladner_fischer(1, 0)
+ALL_GENERATORS = [pc.serial, pc.sklansky, pc.kogge_stone, pc.brent_kung,
+                  lambda n: pc.ladner_fischer(n, 0)]
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize("n,sizes,outs", [
+        (1, [0, 0, 0, 0, 0], [[0]] * 5),
+        (2, [1, 1, 1, 1, 1], [[0, 2]] * 5),
+        (3, [2, 2, 3, 2, 2], [[0, 3, 4]] * 2 + [[0, 3, 5]] + [[0, 3, 4]] * 2),
+    ])
+    def test_tiny_n(self, n, sizes, outs):
+        for gen, size, out in zip(ALL_GENERATORS, sizes, outs):
+            c = gen(n)
+            assert (c.size, c._outs.tolist()) == (size, out)
+            assert all(a.dtype == np.int64 for a in _arrays(c))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one(self, n):
+        for gen in ALL_GENERATORS + [lambda n: pc.ladner_fischer(n, 1)]:
+            with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+                gen(n)
+
+    @pytest.mark.parametrize("n,k,text", [
+        (8, 4, "k=4 out of range for n=8 (0 <= k <= 3)"),
+        (8, -1, "k=-1 out of range for n=8 (0 <= k <= 3)"),
+        (1, 1, "k=1 out of range for n=1 (0 <= k <= 0)"),
+        (5, 4, "k=4 out of range for n=5 (0 <= k <= 3)"),
+    ])
+    def test_ladner_fischer_k_range_message(self, n, k, text):
+        with pytest.raises(ValueError) as e:
+            pc.ladner_fischer(n, k)
+        assert str(e.value) == text

@@ -246,7 +246,7 @@ class TestResources:
         c = QuantumCircuit({"q": [0, 1, 2, 3]},
                            [Gate(TOFFOLI, (0, 1, 2), "L"),
                             Gate(TOFFOLI, (1, 2, 3), "L")])
-        with pytest.raises(LayerOverlapError):
+        with pytest.raises(LayerOverlapError, match=r"^layer 'L' reuses qubits \[1, 2\]$"):
             resources(c)
 
     def test_layers_touch_distinct_qubits(self):
@@ -335,6 +335,38 @@ class TestReversibility:
             for _ in range(20):
                 state = [rng.randint(0, 1) for _ in range(c.n_qubits)]
                 assert simulate(both, state) == state
+
+
+class TestGateCheck:
+    """simulate (through _batch_run), resources and netlist reject the same
+    malformed gates with the same messages, from one check."""
+
+    CONSUMERS = {
+        "batch_run": lambda c: qadder._batch_run(c.gates, [0] * c.n_qubits, 1),
+        "resources": resources,
+        "netlist": netlist,
+    }
+
+    @pytest.mark.parametrize("consumer", CONSUMERS)
+    def test_unknown_kind(self, consumer):
+        c = QuantumCircuit({"a": [0, 1]}, [Gate("FOO", (0,), None)])
+        with pytest.raises(ValueError, match=r"^unknown gate kind 'FOO'$"):
+            self.CONSUMERS[consumer](c)
+
+    @pytest.mark.parametrize("consumer", CONSUMERS)
+    @pytest.mark.parametrize("gates,nq,want", [
+        # -1 would wrap to qubit 4, which (0, 1, 4) already targets in layer L
+        ([Gate(TOFFOLI, (0, 1, 4), "L"), Gate(TOFFOLI, (2, 3, -1), "L")], 5,
+         r"^gate 1 \(TOFFOLI on \(2, 3, -1\)\) uses qubit -1, outside 0\.\.4$"),
+        ([Gate(TOFFOLI, (0, 1, 7), "L")], 3,
+         r"^gate 0 \(TOFFOLI on \(0, 1, 7\)\) uses qubit 7, outside 0\.\.2$"),
+        ([Gate(NOT, (0,), None), Gate(CNOT, (3, 1), None)], 2,
+         r"^gate 1 \(CNOT on \(3, 1\)\) uses qubit 3, outside 0\.\.1$"),
+    ])
+    def test_qubit_out_of_range(self, consumer, gates, nq, want):
+        c = QuantumCircuit({"q": list(range(nq))}, gates)
+        with pytest.raises(ValueError, match=want):
+            self.CONSUMERS[consumer](c)
 
 
 class TestDeterminismAndNetlist:
