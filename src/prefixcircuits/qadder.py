@@ -17,14 +17,12 @@ Structure, mirroring the blocked prefix circuit level by level:
   the layer stays disjoint.  Scratch products are uncomputed in reverse.
 * ``b[i] <- b[i] XOR g[i-1]`` (CNOT layer) turns propagates into sum bits.
 
-The adder is written once, as the layer list of :func:`_adder_layers`: each
-step above is one or more whole parallel layers, a layer being one gate
-kind and label over index arrays with one gate per index, its gates on
-distinct qubits.  :func:`build_adder` expands the list into :class:`Gate`
-tuples; :func:`estimate_resources` reads the same list and applies the
-depth update a whole layer at a time, so it counts the builder's own
-qubits.  :func:`resources` measures any circuit gate by gate and is the
-reference the estimator is tested against.
+A :class:`QuantumCircuit` is its registers and its layers, each step above
+being one or more whole parallel layers of :func:`build_adder`.  A circuit
+made from :class:`Gate` tuples is split into layers in gate order, and
+``.gates`` makes the tuples again from the layers; it is never stored.
+:func:`resources`, :func:`netlist` and the simulator take a whole layer at a
+time, so :func:`estimate_resources` is ``resources(build_adder(n, s))``.
 
 CNOT fan-out copies and the XOR layers carry no Toffoli layer label and do
 not count toward Toffoli depth; depth is measured as the longest chain of
@@ -35,10 +33,11 @@ target overlaps the other's qubits -- shared controls commute).
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import groupby, repeat
 from operator import itemgetter
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -64,95 +63,130 @@ class LayerOverlapError(ValueError):
     """Two gates in one labeled Toffoli layer touch the same qubit."""
 
 
-_KINDS = frozenset((NOT, CNOT, TOFFOLI))
+_ARITY = {NOT: 1, CNOT: 2, TOFFOLI: 3}
+_LINE = {TOFFOLI: "T %d %d %d\n", CNOT: "CX %d %d\n", NOT: "X %d\n"}  # netlist rows
 
 
-def _check_gates(gates, n_qubits: int):
-    """Raise ValueError for a gate of an unknown kind, or for one on a qubit
-    outside 0..n_qubits-1 (negative ids included) naming the first such gate.
+class _Gates(Sequence):
+    """The gates of a layer list, made one at a time in circuit order.  An
+    index or a slice makes the whole list first."""
 
-    Two C-level scans, over the kinds and over the set of qubit ids, clear a
-    well-formed gate list; only a bad one is walked gate by gate.
-    """
-    qubits = set(chain.from_iterable(map(itemgetter(1), gates)))
-    if _KINDS.issuperset(map(itemgetter(0), gates)) and (
-            not qubits or 0 <= min(qubits) <= max(qubits) < n_qubits):
-        return
-    for i, (kind, qs, _) in enumerate(gates):
-        if kind not in _KINDS:
-            raise ValueError(f"unknown gate kind {kind!r}")
-        for q in qs:
-            if not 0 <= q < n_qubits:
-                raise ValueError(f"gate {i} ({kind} on {tuple(qs)}) uses qubit {q},"
-                                 f" outside 0..{n_qubits - 1}")
+    def __init__(self, layers: list):
+        self._layers = layers
+
+    def __len__(self) -> int:
+        return sum(len(layer[2]) for layer in self._layers)
+
+    def __iter__(self):
+        # tuple.__new__ makes each Gate in C, at half the NamedTuple's cost
+        for kind, label, *qs in self._layers:
+            yield from map(tuple.__new__, repeat(Gate), zip(
+                repeat(kind), zip(*(q.tolist() for q in qs), strict=True), repeat(label)))
+
+    def __getitem__(self, i):
+        return list(self)[i]
 
 
 class QuantumCircuit:
-    """Ordered reversible gate list over named qubit registers."""
+    """Reversible circuit over named qubit registers, held as its layers.
 
-    def __init__(self, registers: dict, gates: Sequence[Gate], n: int = 0, s: int = 0):
-        self.registers = {name: list(qs) for name, qs in registers.items()}
-        self.gates = list(gates)
-        self.n = n
-        self.s = s
-        self.n_qubits = max(
-            (q + 1 for qs in self.registers.values() for q in qs), default=0
-        )
+    A layer is ``(kind, label, *qubit_arrays)``: one gate per index of the
+    equal-length int64 arrays (controls first, target last).  `gates` is
+    split into layers in gate order, a layer ending at a change of kind,
+    label or qubit count and before a gate on a qubit it already uses.
+    """
+
+    def __init__(self, registers: dict, gates: Iterable[Gate], n: int = 0, s: int = 0):
+        self.registers = {name: qs if isinstance(qs, range) else list(qs)
+                          for name, qs in registers.items()}
+        runs, rows, used, key = [], [], set(), None
+        for i, (kind, qs, label) in enumerate(gates):
+            if not len(qs):
+                raise ValueError(f"gate {i} ({kind}) acts on no qubit")
+            if (kind, label, len(qs)) != key or not used.isdisjoint(qs):
+                rows, used, key = [], set(), (kind, label, len(qs))
+                runs.append((kind, label, rows))
+            rows.append(qs)
+            used.update(qs)
+        self.layers = [(kind, label, *np.array(rows, dtype=np.int64).T)
+                       for kind, label, rows in runs]
+        self.n, self.s = n, s
+        self.n_qubits = max(((max(qs[0], qs[-1]) if isinstance(qs, range) else max(qs)) + 1
+                             for qs in self.registers.values() if len(qs)), default=0)
+
+    @classmethod
+    def from_layers(cls, registers: dict, layers: list, n: int = 0, s: int = 0):
+        """A circuit of the given layers, each ``(kind, label, *qubit_arrays)``."""
+        circuit = cls(registers, (), n, s)
+        circuit.layers = layers
+        return circuit
+
+    @property
+    def gates(self) -> _Gates:
+        return _Gates(self.layers)
 
     def inverse(self) -> "QuantumCircuit":
         """Formal inverse: reversed gate order (each gate is self-inverse)."""
-        return QuantumCircuit(self.registers, list(reversed(self.gates)),
-                              self.n, self.s)
+        return QuantumCircuit.from_layers(
+            self.registers,
+            [(kind, label, *(q[::-1] for q in qs)) for kind, label, *qs in reversed(self.layers)],
+            self.n, self.s)
+
+
+def _check(layers: list, n_qubits: int, disjoint: bool = False):
+    """Raise ValueError for a gate of an unknown kind or qubit count, or on a
+    qubit outside 0..n_qubits-1, naming the first such gate; with `disjoint`,
+    LayerOverlapError for two gates of one label on a shared qubit and
+    ValueError for two gates of one unlabelled layer on a shared qubit.
+    Whole-array passes clear a good circuit; only a bad one is walked gate
+    by gate.
+    """
+    if not layers:
+        return
+    qubits = np.concatenate([q for layer in layers for q in layer[2:]])
+    if not (all(_ARITY.get(layer[0]) == len(layer) - 2 for layer in layers)
+            and 0 <= qubits.min() and qubits.max() < n_qubits):
+        for i, (kind, qs, _) in enumerate(_Gates(layers)):
+            if _ARITY.get(kind) != len(qs):
+                raise ValueError(f"gate {i} ({kind} on {qs}) has {len(qs)} qubits"
+                                 if kind in _ARITY else f"unknown gate kind {kind!r}")
+            for q in qs:
+                if not 0 <= q < n_qubits:
+                    raise ValueError(f"gate {i} ({kind} on {tuple(qs)}) uses qubit {q},"
+                                     f" outside 0..{n_qubits - 1}")
+    if not disjoint:
+        return
+    # key = group * n_qubits + qubit, a group being a label or an unlabelled
+    # layer; the keys come in nearly sorted runs, which a stable sort merges
+    # fast.  A gate naming one qubit twice repeats a key too, and passes.
+    group: dict = {}
+    starts = [group.setdefault((layer[1],) if layer[1] is not None else j, len(group))
+              * n_qubits for j, layer in enumerate(layers)]
+    keys = qubits + np.repeat(starts, [len(layer[2]) * (len(layer) - 2) for layer in layers])
+    keys.sort(kind="stable")
+    if not (keys[1:] == keys[:-1]).any():
+        return
+    seen: dict = {}
+    for j, (kind, label, *qs) in enumerate(layers):
+        used = seen.setdefault((label,) if label is not None else j, set())
+        for gate in zip(*(q.tolist() for q in qs)):
+            overlap = used.intersection(gate)
+            if overlap and label is None:
+                raise ValueError(f"{kind} layer {j} reuses qubits {sorted(overlap)}")
+            if overlap:
+                raise LayerOverlapError(f"layer {label!r} reuses qubits {sorted(overlap)}")
+            used.update(gate)
 
 
 # -- emission ------------------------------------------------------------------
 
 
-class _DepthCounter:
-    """Gate-by-gate Toffoli count and dependence depth, without storing gates."""
-
-    def __init__(self, n_qubits: int):
-        self.toffoli_count = 0
-        self.toffoli_depth = 0
-        self._wd = [0] * n_qubits  # qubit -> depth of last write
-        self._rd = [0] * n_qubits  # qubit -> max depth among reads since that write
-
-    def gate(self, kind, qubits, layer=None):
-        wd, rd = self._wd, self._rd
-        if kind == TOFFOLI:
-            c1, c2, t = qubits
-            d = 1 + max(wd[c1], wd[c2], wd[t], rd[t])
-            self.toffoli_count += 1
-            if d > self.toffoli_depth:
-                self.toffoli_depth = d
-            if d > rd[c1]:
-                rd[c1] = d
-            if d > rd[c2]:
-                rd[c2] = d
-            wd[t] = d
-            rd[t] = 0
-        elif kind == CNOT:
-            c, t = qubits
-            d = max(wd[c], wd[t], rd[t])
-            if d > rd[c]:
-                rd[c] = d
-            wd[t] = d
-            rd[t] = 0
-        else:  # NOT
-            (t,) = qubits
-            wd[t] = max(wd[t], rd[t])
-            rd[t] = 0
-
-
-def _adder_layers(n: int, s: int):
-    """The adder as its register map and its gate layers, in circuit order.
-
-    A layer is ``(kind, label, *qubit_arrays)``: one gate per index of the
-    equal-length int64 arrays (controls first, target last), and the gates
-    of one layer touch distinct qubits.  ``label`` is the Toffoli layer
-    label, None for CNOT layers.  Registers are ranges: a, b, g, then the
-    propagate products ``p{t}`` in recursion order, then the copy pool z
-    that every level reuses.
+def build_adder(n: int, s: int) -> QuantumCircuit:
+    """The adder as whole parallel layers, the gates of each on distinct
+    qubits; a layer's label is its Toffoli layer label, None for CNOT
+    layers.  Registers are ranges: a, b, g, then the propagate products
+    ``p{t}`` in recursion order, then the copy pool z that every level
+    reuses.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -170,40 +204,41 @@ def _adder_layers(n: int, s: int):
         M = len(gq)
         # up: within-block generate chains (block 0's chain completes carries)
         for k in range(1, s):
-            i = np.arange(k, M, s)
-            layers.append((TOFFOLI, f"L{t} chain {k}", gq[i - 1], pq[i], gq[i]))
+            layers.append((TOFFOLI, f"L{t} chain {k}", gq[k - 1:M - 1:s], pq[k::s], gq[k::s]))
         if M <= s:
             return
-        # propagate products for blocks past the first: chi[k][j-1] is the
+        # propagate products for blocks j = 1..B-1: chi[k][j-1] is the
         # product over positions 0..k of block j, for k >= 1 in fresh slot
-        # (j-1)*(s-1) + k-1 (every block but the last is full)
+        # (j-1)*(s-1) + k-1; every block but the last is full, so block j
+        # has a position k for j <= last[k]
         B = -(-M // s)
-        j = np.arange(1, B)
+        last = [B - 1 - ((B - 1) * s + k >= M) for k in range(s)]
         base = free
         free += M - B - (s - 1)
         registers[f"p{t + 1}"] = range(base, free)
-        chi = [pq[j * s]] + [base + (j - 1) * (s - 1) + (k - 1) for k in range(1, s)]
-        props = []
+        chi = [pq[s::s]] + [np.arange(base + k - 1, base + k - 1 + (B - 1) * (s - 1), s - 1)
+                            for k in range(1, s)]
+        props = [(k, chi[k - 1][:last[k]], pq[s + k::s], chi[k][:last[k]])
+                 for k in range(1, s)]
         block_p = pq[::s].copy()  # a block's propagate: its chain's last product
-        for k in range(1, s):
-            m = np.count_nonzero(j * s + k < M)  # blocks with a position k
-            props.append((k, chi[k - 1][:m], pq[j[:m] * s + k], chi[k][:m]))
-            block_p[j[:m]] = chi[k][:m]
+        for k, *_, prod in props:
+            block_p[1:last[k] + 1] = prod
         layers.extend((TOFFOLI, f"L{t} prop {k}", *qs) for k, *qs in props)
-        level(t + 1, gq[np.minimum(np.arange(B) * s + s - 1, M - 1)], block_p)
+        top = gq[s - 1::s]  # each full block's last position
+        level(t + 1, top if M % s == 0 else np.concatenate((top, gq[-1:])), block_p)
         # down: finalize every non-boundary position of the blocks past the
         # first, fanning each block's incoming carry out through CNOT copies
         # into the pool (allocated after every p register) so the layer
         # stays disjoint
         copies, fin = [], []
         for k in range(s - 1):
-            jj = j[j * s + k + 1 < M]
-            ctrl = gq[jj * s - 1]
+            m = last[k + 1]
+            ctrl = top[:m]
             if k:
-                z = free + (jj - 1) * (s - 2) + (k - 1)
+                z = np.arange(free + k - 1, free + k - 1 + m * (s - 2), s - 2)
                 copies.append((CNOT, None, ctrl, z))
                 ctrl = z
-            fin.append((ctrl, chi[k][: len(jj)], gq[jj * s + k]))
+            fin.append((ctrl, chi[k][:m], gq[s + k::s][:m]))
         pool = max(pool, sum(len(c[3]) for c in copies))
         layers.extend(copies)
         layers.append((TOFFOLI, f"L{t} fin", *map(np.concatenate, zip(*fin))))
@@ -216,44 +251,13 @@ def _adder_layers(n: int, s: int):
     layers.append((CNOT, None, g[: n - 1], b[1:]))  # sums
     if pool:
         registers["z"] = range(free, free + pool)
-    return registers, [layer for layer in layers if len(layer[2])]
-
-
-def build_adder(n: int, s: int) -> QuantumCircuit:
-    registers, layers = _adder_layers(n, s)
-    # one int object per qubit, shared by every gate on it
-    ids = np.arange(sum(len(qs) for qs in registers.values()), dtype=object)
-    gates = []
-    for kind, label, *qs in layers:
-        gates.extend(Gate(kind, q, label) for q in zip(*(ids[q].tolist() for q in qs)))
-    return QuantumCircuit({name: ids[qs] for name, qs in registers.items()},
-                          gates, n, s)
+    return QuantumCircuit.from_layers(
+        registers, [layer for layer in layers if len(layer[2])], n, s)
 
 
 def estimate_resources(n: int, s: int) -> AdderResources:
-    """Resources of build_adder(n, s), counted a whole layer at a time.
-
-    Applies :class:`_DepthCounter`'s update to every gate of a layer at
-    once; that is exact because the gates of a layer touch distinct qubits.
-    """
-    registers, layers = _adder_layers(n, s)
-    total = sum(len(qs) for qs in registers.values())
-    wd = np.zeros(total, dtype=np.int64)  # qubit -> depth of last write
-    rd = np.zeros(total, dtype=np.int64)  # qubit -> max read depth since then
-    count = depth = 0
-    for kind, _, *ctrls, t in layers:
-        d = np.maximum(wd[t], rd[t])
-        for c in ctrls:
-            d = np.maximum(d, wd[c])
-        if kind == TOFFOLI:
-            d += 1
-            count += len(t)
-            depth = max(depth, int(d.max()))
-        for c in ctrls:
-            rd[c] = np.maximum(rd[c], d)
-        wd[t] = d
-        rd[t] = 0
-    return AdderResources(count, depth, total - 2 * n)
+    """Resources of build_adder(n, s)."""
+    return resources(build_adder(n, s))
 
 
 # -- simulation ----------------------------------------------------------------
@@ -277,39 +281,41 @@ def simulate(circuit: QuantumCircuit, initial) -> list:
         if len(initial) != nq:
             raise ValueError(f"expected {nq} qubit values, got {len(initial)}")
         state = [int(v) & 1 for v in initial]
-    return _batch_run(circuit.gates, state, 1)
+    return _batch_run(circuit.layers, state, 1)
 
 
 def resources(circuit: QuantumCircuit) -> AdderResources:
     """Measured Toffoli count, dependence-chain Toffoli depth, and ancillas.
 
-    Also checks that gates sharing a Toffoli layer label touch disjoint
-    qubits (raises LayerOverlapError otherwise).  Raises ValueError, as
-    `simulate` does, for a gate of an unknown kind or on a qubit outside
-    0..n_qubits-1.
+    Raises LayerOverlapError for two gates of one label on a shared qubit
+    and, as `simulate` does, ValueError for a malformed gate (:func:`_check`).
+
+    The depth update runs a whole layer at a time, exact as the gates of a
+    layer touch distinct qubits.  Per qubit, ``wd`` is the depth of its last
+    write and ``hd`` the greater of that and its deepest read since.  ``wd``
+    never falls and only a Toffoli raises its maximum, the depth.
     """
-    _check_gates(circuit.gates, circuit.n_qubits)
-    seen: dict = {}
-    for gate in circuit.gates:
-        if gate.toffoli_layer is None:
-            continue
-        used = seen.setdefault(gate.toffoli_layer, set())
-        overlap = used.intersection(gate.qubits)
-        if overlap:
-            raise LayerOverlapError(
-                f"layer {gate.toffoli_layer!r} reuses qubits {sorted(overlap)}"
-            )
-        used.update(gate.qubits)
-    counter = _DepthCounter(circuit.n_qubits)
-    for gate in circuit.gates:
-        counter.gate(gate.kind, gate.qubits, gate.toffoli_layer)
+    layers, nq = circuit.layers, circuit.n_qubits
+    _check(layers, nq, disjoint=True)
+    wd, hd = np.zeros((2, nq), dtype=np.int64)
+    count = 0
+    for kind, _, *ctrls, t in layers:
+        d = hd[t]
+        for c in ctrls:
+            d = np.maximum(d, wd[c])
+        if kind == TOFFOLI:
+            d += 1
+            count += len(t)
+        for c in ctrls:
+            hd[c] = np.maximum(hd[c], d)
+        wd[t] = hd[t] = d
     total = sum(len(qs) for qs in circuit.registers.values())
     ancillas = max(total - 2 * circuit.n, 0) if circuit.n else total
-    return AdderResources(counter.toffoli_count, counter.toffoli_depth, ancillas)
+    return AdderResources(count, int(wd.max()) if nq else 0, ancillas)
 
 
 def toffoli_layer_count(circuit: QuantumCircuit) -> int:
-    return len({g.toffoli_layer for g in circuit.gates if g.toffoli_layer})
+    return len({label for _, label, *_ in circuit.layers if label})
 
 
 # -- verification ---------------------------------------------------------------
@@ -325,21 +331,25 @@ class AdderCheckReport:
     counterexample: Optional[tuple]  # (n, s, a, b, observed_sum, observed_carry)
 
 
-def _batch_run(gates, vals: list, all_ones: int) -> list:
-    """Apply `gates` to `vals`, one integer per qubit (bit t = trial t's value;
-    NOT flips the bits of `all_ones`).
+def _batch_run(layers: list, vals: list, all_ones: int) -> list:
+    """Apply `layers` to `vals`, one integer per qubit (bit t = trial t's
+    value; NOT flips the bits of `all_ones`), gate by gate in order.
 
-    Raises ValueError, through :func:`_check_gates`, for a gate of an unknown
-    kind or on a qubit outside 0..len(vals)-1.
+    Raises ValueError, through :func:`_check`, for a gate of an unknown kind
+    or on a qubit outside 0..len(vals)-1.
     """
-    _check_gates(gates, len(vals))
-    for kind, qs, _ in gates:
+    _check(layers, len(vals))
+    for kind, _, *qs in layers:
+        cols = [q.tolist() for q in qs]
         if kind == TOFFOLI:
-            vals[qs[2]] ^= vals[qs[0]] & vals[qs[1]]
+            for c1, c2, t in zip(*cols, strict=True):
+                vals[t] ^= vals[c1] & vals[c2]
         elif kind == CNOT:
-            vals[qs[1]] ^= vals[qs[0]]
+            for c, t in zip(*cols, strict=True):
+                vals[t] ^= vals[c]
         else:  # NOT
-            vals[qs[0]] ^= all_ones
+            for t in cols[0]:
+                vals[t] ^= all_ones
     return vals
 
 
@@ -409,7 +419,7 @@ def verify_adder(n: int, s: int, trials: int = 10000,
     for i in range(n):
         vals[circuit.registers["a"][i]] = a_bits[i]
         vals[circuit.registers["b"][i]] = b_bits[i]
-    _batch_run(circuit.gates, vals, all_ones)
+    _batch_run(circuit.layers, vals, all_ones)
 
     bad = 0
     for i in range(n):
@@ -450,20 +460,13 @@ def netlist(circuit: QuantumCircuit) -> str:
     Raises ValueError, as `simulate` does, for a gate of an unknown kind or
     on a qubit outside 0..n_qubits-1.
     """
-    _check_gates(circuit.gates, circuit.n_qubits)
-    lines = []
-    current = object()
-    for kind, qs, layer in circuit.gates:
-        if layer != current:
-            lines.append(f"# layer {layer if layer is not None else '-'}")
-            current = layer
-        if kind == TOFFOLI:
-            lines.append(f"T {qs[0]} {qs[1]} {qs[2]}")
-        elif kind == CNOT:
-            lines.append(f"CX {qs[0]} {qs[1]}")
-        else:  # NOT
-            lines.append(f"X {qs[0]}")
-    return "\n".join(lines) + "\n"
+    _check(circuit.layers, circuit.n_qubits)
+    parts = []
+    for label, run in groupby(circuit.layers, itemgetter(1)):
+        parts.append(f"# layer {label if label is not None else '-'}\n")
+        parts.extend(_LINE[kind] * len(qs[0]) % tuple(np.stack(qs, axis=1).ravel().tolist())
+                     for kind, _, *qs in run)
+    return "".join(parts) or "\n"
 
 
 def resource_report(n: int, s: int) -> dict:

@@ -1,9 +1,13 @@
 """Reversible adder: construction, simulation, resources, verification."""
 
 import random
+import re
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefixcircuits import qadder
 from prefixcircuits.kronecker import kronecker_depth_bound
@@ -11,6 +15,7 @@ from prefixcircuits.qadder import (
     CNOT,
     NOT,
     TOFFOLI,
+    AdderResources,
     Gate,
     LayerOverlapError,
     QuantumCircuit,
@@ -21,6 +26,8 @@ from prefixcircuits.qadder import (
     simulate,
     verify_adder,
 )
+
+import qadder_reference
 
 
 def run_add(circuit, a, b):
@@ -146,7 +153,7 @@ class TestVerify:
             (Gate(CNOT, (0, -1), None),
              rf"^gate {g} \(CNOT on \(0, -1\)\) uses qubit -1, outside 0\.\.{nq - 1}$"),
         ):
-            bad = QuantumCircuit(c.registers, c.gates + [extra] * 2, c.n, c.s)
+            bad = QuantumCircuit(c.registers, [*c.gates, extra, extra], c.n, c.s)
             with pytest.raises(ValueError, match=want):
                 verify_adder(4, 2, circuit=bad)
             with pytest.raises(ValueError, match=want):
@@ -233,9 +240,12 @@ class TestResources:
         assert (r.toffoli_count, r.toffoli_depth, r.ancilla_count) == (0, 0, 0)
 
     def test_estimate_matches_measured(self):
+        # estimate_resources is resources(build_adder(n, s)) now, so the
+        # independent side is the gate-by-gate count of the reference
         for s in (2, 3, 4):
             for n in list(range(1, 40)) + [63, 64, 65, 100]:
-                assert estimate_resources(n, s) == resources(build_adder(n, s)), (n, s)
+                want = qadder_reference.resources(qadder_reference.build_adder(n, s))
+                assert estimate_resources(n, s) == want, (n, s)
 
     def test_depth_at_most_label_count(self):
         for n, s in ((16, 2), (27, 3), (40, 4)):
@@ -249,12 +259,29 @@ class TestResources:
         with pytest.raises(LayerOverlapError, match=r"^layer 'L' reuses qubits \[1, 2\]$"):
             resources(c)
 
+    def test_layer_overlap_across_another_label(self):
+        # runs L, M, L: the two L runs are separate layers, and the check
+        # spans every layer of a label
+        gates = [Gate(TOFFOLI, (0, 1, 2), "L"), Gate(TOFFOLI, (3, 4, 5), "L"),
+                 Gate(TOFFOLI, (2, 5, 6), "M"),
+                 Gate(TOFFOLI, (6, 7, 4), "L"), Gate(TOFFOLI, (8, 9, 0), "L")]
+        c = QuantumCircuit({"q": range(10)}, gates)
+        assert [layer[1] for layer in c.layers] == ["L", "M", "L"]
+        want = r"^layer 'L' reuses qubits \[4\]$"
+        with pytest.raises(LayerOverlapError, match=want):
+            resources(c)
+        with pytest.raises(LayerOverlapError, match=want):
+            qadder_reference.resources(qadder_reference.QuantumCircuit({"q": range(10)}, gates))
+        # the same runs without the overlap pass
+        ok = QuantumCircuit({"q": range(11)}, gates[:3] + [Gate(TOFFOLI, (6, 7, 10), "L")])
+        assert resources(ok) == AdderResources(4, 3, 11)
+
     def test_layers_touch_distinct_qubits(self):
-        # estimate_resources updates a whole layer by numpy fancy assignment,
+        # resources updates a whole layer by numpy fancy assignment,
         # which keeps only one of several writes to a repeated qubit
         for s in (2, 3, 4, 5):
             for n in list(range(1, 131)) + [256, 512]:
-                for kind, label, *qs in qadder._adder_layers(n, s)[1]:
+                for kind, label, *qs in build_adder(n, s).layers:
                     assert len({len(q) for q in qs}) == 1, (n, s, kind, label)
                     qubits = [x for q in qs for x in q.tolist()]
                     assert len(set(qubits)) == len(qubits), (n, s, kind, label)
@@ -267,7 +294,7 @@ class TestResources:
                 assert abs(a2 / a1 - 2) < 0.1, (n, s)
 
 
-class _ZeroDepthUnprop(qadder._DepthCounter):
+class _ZeroDepthUnprop(qadder_reference._DepthCounter):
     """Depth counter that gives `unprop` Toffolis zero Toffoli depth.
 
     Such a gate still waits for its controls and its target and still holds
@@ -298,7 +325,7 @@ class TestUnpropCause:
 
     GRID = list(range(2, 129)) + [256, 500, 512]
 
-    def test_unprop_is_the_overrun(self, monkeypatch):
+    def test_unprop_is_the_overrun(self):
         count_over = depth_over = 0
         for s in (2, 3, 4):
             for n in self.GRID:
@@ -319,9 +346,10 @@ class TestUnpropCause:
 
                 bound = kronecker_depth_bound(n, s) + 3  # s*ceil(log_s n) + 2
                 depth_over += resources(c).toffoli_depth > bound
-                with monkeypatch.context() as m:
-                    m.setattr(qadder, "_DepthCounter", _ZeroDepthUnprop)
-                    assert resources(c).toffoli_depth <= bound, (n, s)
+                counter = _ZeroDepthUnprop(c.n_qubits)
+                for g in c.gates:
+                    counter.gate(*g)
+                assert counter.toffoli_depth <= bound, (n, s)
         # the grid shows both overruns, so the checks above are not vacuous
         assert count_over and depth_over, (count_over, depth_over)
 
@@ -331,7 +359,7 @@ class TestReversibility:
         rng = random.Random(9)
         for n, s in ((5, 2), (7, 3), (9, 4)):
             c = build_adder(n, s)
-            both = QuantumCircuit(c.registers, c.gates + c.inverse().gates, n, s)
+            both = QuantumCircuit(c.registers, [*c.gates, *c.inverse().gates], n, s)
             for _ in range(20):
                 state = [rng.randint(0, 1) for _ in range(c.n_qubits)]
                 assert simulate(both, state) == state
@@ -342,7 +370,7 @@ class TestGateCheck:
     malformed gates with the same messages, from one check."""
 
     CONSUMERS = {
-        "batch_run": lambda c: qadder._batch_run(c.gates, [0] * c.n_qubits, 1),
+        "batch_run": lambda c: qadder._batch_run(c.layers, [0] * c.n_qubits, 1),
         "resources": resources,
         "netlist": netlist,
     }
@@ -368,10 +396,114 @@ class TestGateCheck:
         with pytest.raises(ValueError, match=want):
             self.CONSUMERS[consumer](c)
 
+    @pytest.mark.parametrize("consumer", CONSUMERS)
+    def test_late_layer_names_global_gate_index(self, consumer):
+        # a bad id, then an unknown kind, in a late layer of an adder: the
+        # message names the gate's index in the whole circuit
+        c = build_adder(9, 3)
+        gates = list(c.gates)
+        i = max(k for k, g in enumerate(gates) if g.toffoli_layer == "L0 unprop 1")
+        c1, c2, _ = gates[i].qubits
+        nq = c.n_qubits
+        gates[i] = Gate(TOFFOLI, (c1, c2, nq + 3), "L0 unprop 1")
+        bad = QuantumCircuit(c.registers, gates, c.n, c.s)
+        assert len(bad.layers) == len(c.layers)
+        want = rf"^gate {i} \(TOFFOLI on \({c1}, {c2}, {nq + 3}\)\) uses qubit {nq + 3}," \
+               rf" outside 0\.\.{nq - 1}$"
+        with pytest.raises(ValueError, match=want):
+            self.CONSUMERS[consumer](bad)
+        gates[i] = Gate("SWAP", (c1, c2), None)
+        with pytest.raises(ValueError, match=r"^unknown gate kind 'SWAP'$"):
+            self.CONSUMERS[consumer](QuantumCircuit(c.registers, gates, c.n, c.s))
+
+    @pytest.mark.parametrize("consumer", CONSUMERS)
+    def test_wrong_qubit_count(self, consumer):
+        c = QuantumCircuit({"q": range(3)}, [Gate(NOT, (0,), None), Gate(TOFFOLI, (0, 1), "L")])
+        with pytest.raises(ValueError, match=r"^gate 1 \(TOFFOLI on \(0, 1\)\) has 2 qubits$"):
+            self.CONSUMERS[consumer](c)
+
+    def test_gate_on_no_qubit(self):
+        with pytest.raises(ValueError, match=r"^gate 1 \(NOT\) acts on no qubit$"):
+            QuantumCircuit({"q": range(2)}, [Gate(NOT, (0,), None), Gate(NOT, (), None)])
+
+    def test_qubit_shared_inside_a_layer(self):
+        # a gate naming one qubit twice is counted as the gate-by-gate
+        # reference counts it; a built layer whose gates share a qubit is
+        # refused, as resources counts a layer at a time
+        gates = [Gate(TOFFOLI, (0, 0, 1), "L"), Gate(CNOT, (2, 2), None),
+                 Gate(TOFFOLI, (1, 2, 1), "M")]
+        twice = QuantumCircuit({"q": range(3)}, gates)
+        ref = qadder_reference.QuantumCircuit({"q": range(3)}, gates)
+        assert resources(twice) == qadder_reference.resources(ref)
+        assert simulate(twice, [1, 0, 1]) == qadder_reference.simulate(ref, [1, 0, 1])
+        shared = QuantumCircuit.from_layers(
+            {"q": range(3)}, [(CNOT, None, np.array([0, 1]), np.array([1, 2]))])
+        assert list(shared.gates) == [Gate(CNOT, (0, 1), None), Gate(CNOT, (1, 2), None)]
+        with pytest.raises(ValueError, match=r"^CNOT layer 0 reuses qubits \[1\]$"):
+            resources(shared)
+
+
+class TestLayers:
+    """A circuit holds its registers and layers; `.gates` is made from them."""
+
+    def test_no_stored_gate_list(self):
+        c = build_adder(40, 3)
+        assert set(vars(c)) == {"registers", "layers", "n", "s", "n_qubits"}
+        assert len(c.gates) == sum(len(layer[2]) for layer in c.layers)
+        assert isinstance(c.gates[:3], list) and c.gates[-1] == list(c.gates)[-1]
+
+    def test_split_keeps_gate_order(self):
+        gates = [Gate(TOFFOLI, (0, 1, 2), "L"), Gate(TOFFOLI, (3, 4, 5), "L"),
+                 Gate(TOFFOLI, (5, 6, 7), "L"), Gate(CNOT, (0, 1), None),
+                 Gate(CNOT, (2, 3), None), Gate(NOT, (1,), None), Gate(TOFFOLI, (0, 1, 2), "L")]
+        c = QuantumCircuit({"q": range(8)}, gates)
+        # a new layer at the reused qubit 5, at each change of kind or label
+        assert [(kind, label, len(qs[0])) for kind, label, *qs in c.layers] == [
+            (TOFFOLI, "L", 2), (TOFFOLI, "L", 1), (CNOT, None, 2), (NOT, None, 1),
+            (TOFFOLI, "L", 1)]
+        assert list(c.gates) == gates and all(q.dtype == np.int64 for layer in c.layers
+                                              for q in layer[2:])
+        assert list(c.inverse().gates) == gates[::-1]
+
+    @pytest.mark.parametrize("s", (2, 3, 4))
+    def test_matches_reference(self, s):
+        # gates, resources and netlist bytes equal those of the gate-list
+        # form; n <= 10 and 64..71 are perfbench's verify_mutant sizes, whose
+        # victims are picked by index into .gates
+        for n in list(range(1, 201)) + [243, 256, 511, 512, 600, 729, 1024, 4096]:
+            ref, c = qadder_reference.build_adder(n, s), build_adder(n, s)
+            assert list(c.gates) == ref.gates, n
+            assert c.n_qubits == ref.n_qubits, n
+            assert {k: list(qs) for k, qs in c.registers.items()} == ref.registers, n
+            assert resources(c) == qadder_reference.resources(ref), n
+            assert netlist(c) == qadder_reference.netlist(ref), n
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_gate_lists_match_reference(self, data):
+        nq = data.draw(st.integers(3, 7))
+        gate = st.tuples(st.sampled_from((NOT, CNOT, TOFFOLI)), st.permutations(range(nq)),
+                         st.sampled_from((None, "L", "M")))
+        gates = [Gate(kind, tuple(perm[:qadder._ARITY[kind]]), label)
+                 for kind, perm, label in data.draw(st.lists(gate, max_size=24))]
+        regs = {"a": range(nq - 1), "z": [nq - 1]}
+        c, ref = QuantumCircuit(regs, gates), qadder_reference.QuantumCircuit(regs, gates)
+        assert list(c.gates) == gates and len(c.gates) == len(gates)
+        try:
+            want = qadder_reference.resources(ref)
+        except LayerOverlapError as e:
+            with pytest.raises(LayerOverlapError, match=f"^{re.escape(str(e))}$"):
+                resources(c)
+        else:
+            assert resources(c) == want
+        state = data.draw(st.lists(st.integers(0, 1), min_size=nq, max_size=nq))
+        assert simulate(c, state) == qadder_reference.simulate(ref, state)
+        assert netlist(c) == qadder_reference.netlist(ref)
+
 
 class TestDeterminismAndNetlist:
     def test_identical_gate_lists(self):
-        assert build_adder(12, 3).gates == build_adder(12, 3).gates
+        assert list(build_adder(12, 3).gates) == list(build_adder(12, 3).gates)
 
     def test_netlist_golden_2_2(self):
         # frozen output for the two-bit adder at block size 2
