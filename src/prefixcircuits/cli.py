@@ -14,7 +14,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import classic, kronalg, kronecker, qadder
-from .core import metrics, snir_gap, validate_prefix
+from .core import _max_fanout, metrics, validate_prefix
 from .serialization import export_dot, export_json
 
 
@@ -59,9 +59,8 @@ def _emit(text: str, path) -> None:
 def _table_row(name: str, n: int, s: int, k: int):
     c = _build_circuit(name, n, s, k)
     m = metrics(c)
-    m_out = metrics(c, count_outputs=True)
-    return (name, n, m.size, m.depth, m.max_fanout, m_out.max_fanout,
-            m.deficiency, m.valid)
+    return (name, n, m.size, m.depth, m.max_fanout,
+            _max_fanout(c, count_outputs=True), m.deficiency, m.valid)
 
 
 def _formula_checks(name: str, n: int, s: int, row):
@@ -92,6 +91,8 @@ def _formula_checks(name: str, n: int, s: int, row):
 def cmd_table(args) -> int:
     names = args.generators.split(",") if args.generators else list(GENERATOR_NAMES)
     n_list = _parse_n_list(args.n_list)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     work = [(name, n, args.s, args.k) for name in names for n in n_list]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -229,8 +230,13 @@ def _parse_n_list(text: str) -> list:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, as main() reports bad values
+        self.exit(2, f"error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="prefixcircuits",
         description="Synthesize, validate, and analyze parallel prefix "
                     "circuits and the derived reversible adder.",
@@ -255,8 +261,9 @@ def make_parser() -> argparse.ArgumentParser:
     t.add_argument("-s", type=int, default=2)
     t.add_argument("-k", type=int, default=0)
     t.add_argument("--check-formulas", action="store_true")
-    t.add_argument("--csv", action="store_true")
-    t.add_argument("--json", action="store_true")
+    fmt = t.add_mutually_exclusive_group()
+    fmt.add_argument("--csv", action="store_true")
+    fmt.add_argument("--json", action="store_true")
     t.add_argument("--jobs", type=int, default=1)
     t.set_defaults(func=cmd_table)
 

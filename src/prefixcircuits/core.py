@@ -208,17 +208,22 @@ def metrics(circuit: PrefixCircuit, count_outputs: bool = False) -> CircuitMetri
     Fan-out counts operand edges only; pass ``count_outputs=True`` to also
     count each designated circuit output as one outgoing edge.
     """
-    n, G = circuit.n, circuit.size
-    size = G
-    depth = int(circuit._levels.max()) if G else 0
-    fan = np.bincount(circuit._lefts, minlength=n + G) + np.bincount(
-        circuit._rights, minlength=n + G
+    size = circuit.size
+    depth = int(circuit._levels.max()) if size else 0
+    deficiency = size + depth - (2 * circuit.n - 2)
+    return CircuitMetrics(size, depth, _max_fanout(circuit, count_outputs),
+                          deficiency, validate_prefix(circuit))
+
+
+def _max_fanout(circuit: PrefixCircuit, count_outputs: bool) -> int:
+    """Largest number of edges leaving one wire; see :func:`metrics`."""
+    N = circuit.n + circuit.size
+    fan = np.bincount(circuit._lefts, minlength=N) + np.bincount(
+        circuit._rights, minlength=N
     )
     if count_outputs:
-        fan += np.bincount(circuit._outs, minlength=n + G)
-    max_fanout = int(fan.max()) if len(fan) else 0
-    deficiency = size + depth - (2 * n - 2)
-    return CircuitMetrics(size, depth, max_fanout, deficiency, validate_prefix(circuit))
+        fan += np.bincount(circuit._outs, minlength=N)
+    return int(fan.max()) if len(fan) else 0
 
 
 def snir_gap(m: CircuitMetrics, n: int) -> int:

@@ -19,8 +19,6 @@ blocks, which is what the circuit generators exploit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 _KINDS = ("L", "U", "Lminus", "Uminus", "I", "Ones")
@@ -140,30 +138,3 @@ def brent_kung_kron_step(x) -> np.ndarray:
     Y[0, 1:] = X[0, 1:] + z[:-1]  # step 3: complete the first row
     return vec(Y)
 
-
-@dataclass(frozen=True)
-class HStats:
-    """Iterates of h(v) = ceil(v/s) - 1, the recursion's size map.
-
-    ``h_seq[k]`` is the k-th iterate starting from ``h_seq[0] = n``;
-    iteration stops at the first value <= s.  ``h_star`` is the largest k
-    with ``h_seq[k] > s`` (0 when already h(n) <= s), and ``remainder`` is
-    the iterate at ``h_star`` -- so the blocked recursion reaches its serial
-    base case after exactly ``h_star + 1`` levels.
-    """
-
-    s: int
-    n: int
-    h_seq: tuple
-    h_star: int
-    remainder: int
-
-
-def h_stats(n: int, s: int) -> HStats:
-    if n < 1 or s < 2:
-        raise ValueError("need n >= 1 and s >= 2")
-    seq = [n]
-    while seq[-1] > s:
-        seq.append(-(-seq[-1] // s) - 1)
-    h_star = max((k for k in range(1, len(seq)) if seq[k] > s), default=0)
-    return HStats(s, n, tuple(seq), h_star, seq[h_star])

@@ -40,13 +40,16 @@ block-size dynamic program optimizes.  The two agree exactly while the
 chain in layer 2 is no longer than a serial base case would be
 (``kronecker_depth(m, s) == m - 1`` for the middle size m); beyond that the
 built depth exceeds the recursion value.
+
+No depth is memoized: :func:`circuit_depth` is a closed form, and
+:func:`kronecker_depth` and :func:`kronecker_plan` are loops over the size
+map n -> ceil(n/s) - 1; the module holds no process-wide state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -172,34 +175,38 @@ def _build_arrays(n: int, s: int, middle=_chain):
     return lefts, rights, levels, outs
 
 
-@lru_cache(maxsize=None)
 def circuit_depth(n: int, s: int) -> int:
     """Depth of the circuit :func:`kronecker_circuit` builds, in closed form."""
     _check_params(n, s)
     if n <= s:
         return n - 1
-    if is_power_of(n, s):
-        return 1 + circuit_depth(n - 1, s)
-    return s + (-(-n // s) - 1) - 1
+    # a power of s is built on n - 1, which is neither <= s nor a power of s
+    fix = is_power_of(n, s)
+    return fix + s + -(-(n - fix) // s) - 2
 
 
-@lru_cache(maxsize=None)
 def kronecker_depth(n: int, s: int) -> int:
     """Depth of the fully re-blocked recursion (the family's depth potential).
 
-    Bounded by ``s * ceil(log_s n) - 1``; minimized over s by
-    :func:`min_depth_table`.  Built circuits match this value exactly
-    whenever the middle layer is small enough that re-blocking it would
-    degenerate to the same chain (``kronecker_depth(ceil(n/s)-1, s) ==
-    ceil(n/s) - 2``); see the module docstring for why the builder chains
+    One loop over the size map: a power of s costs one level and steps to
+    n - 1, any other n > s costs s levels and steps to ceil(n/s) - 1, and
+    the serial base adds n - 1.  Bounded by ``s * ceil(log_s n) - 1``;
+    minimized over s by :func:`min_depth_table`.  Built circuits match this
+    value exactly whenever the middle layer is small enough that re-blocking
+    it would degenerate to the same chain (``kronecker_depth(ceil(n/s)-1, s)
+    == ceil(n/s) - 2``); see the module docstring for why the builder chains
     the middle layer unconditionally.
     """
     _check_params(n, s)
-    if n <= s:
-        return n - 1
-    if is_power_of(n, s):
-        return 1 + kronecker_depth(n - 1, s)
-    return s + kronecker_depth(-(-n // s) - 1, s)
+    depth = 0
+    while n > s:
+        if n % s == 0 and is_power_of(n, s):
+            depth += 1
+            n -= 1
+        else:
+            depth += s
+            n = -(-n // s) - 1
+    return depth + n - 1
 
 
 def kronecker_depth_bound(n: int, s: int) -> int:
@@ -237,7 +244,9 @@ class KroneckerPlan:
 def kronecker_plan(n: int, s: int) -> KroneckerPlan:
     """Level-by-level size accounting of the re-blocked recursion.
 
-    Each record satisfies layer1 + layer3 + (2 * block_count - 4)
+    One record per blocked level: n and the records' ``recursive_n`` are
+    the iterates of h(v) = ceil(v/s) - 1 (a power of s is built on v - 1,
+    which has the same h).  Each record satisfies layer1 + layer3 + (2 * block_count - 4)
     + (s - 1) + 1 == 2n - 2, the arithmetic that makes the construction
     zero-deficiency level by level.
     """
@@ -273,22 +282,27 @@ def _level_gates(n: int, s: int, level: int):
     `cols` is a range of candidate destination columns; `left(c)` is the
     column of the left operand of the gate in column c, or None where c has
     no gate.  Out-of-range levels (every level when n == 1) give no columns.
+    Each case works out its own built depth (the terms of circuit_depth),
+    so a call walks the case split once.
     """
-    D = circuit_depth(n, s)
     lv = level + 1  # level of the gates
-    if not 0 <= level < D:
+    if level < 0:
         return range(0), None
-    if n <= s:
-        return range(lv, lv + 1), lambda c: c - 1
-    if is_power_of(n, s):
+    if n <= s:  # the serial chain, depth n - 1
+        return (range(lv, lv + 1) if lv < n else range(0)), lambda c: c - 1
+    if is_power_of(n, s):  # the build for n - 1, then one gate on level D
+        D = s + -(-(n - 1) // s) - 1
         if lv < D:
             return _level_gates(n - 1, s, level)
-        return range(n - 1, n), lambda c: c - 1
+        return (range(n - 1, n) if lv == D else range(0)), lambda c: c - 1
+    D = s + -(-n // s) - 2
     if lv <= s - 1:  # in-block serial
         return range(lv, n, s), lambda c: c - 1
     if lv < D:  # middle chain gate j at column (j+1)s - 1
         col = (lv - s + 2) * s - 1
         return range(col, col + 1), lambda c: c - s
+    if lv > D:
+        return range(0), None
     # final layer: every column after block 0 except the chained totals
     last = s * (-(-n // s) - 1)
     return range(s, n), lambda c: (

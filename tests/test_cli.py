@@ -5,11 +5,15 @@ import json
 import pytest
 
 import prefixcircuits as pc
+from prefixcircuits import core
 from prefixcircuits.cli import main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as e:  # argparse's own usage errors
+        code = e.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -20,6 +24,9 @@ def run(capsys, *argv):
     ("table --n-list 2:8:*1", 2),
     ("table --n-list 9:3", 2),
     ("table --n-list 2:8:*2 --generators serial,foo", 2),
+    ("table --n-list 8 --jobs 0", 2),
+    ("table --n-list 8 --jobs -1", 2),
+    ("table --n-list 8 --csv --json", 2),
     ("mindepth --max-n 0", 2),
     ("ratio --n-list 1", 2),
     ("ratio --n-list 2:4", 0),
@@ -80,6 +87,16 @@ class TestTable:
         assert rows["sklansky"][2:4] == ["12", "3"]
         assert rows["kogge-stone"][2:4] == ["17", "3"]
         assert rows["brent-kung"][2:4] == ["11", "5"]
+
+    def test_validates_each_row_once(self, capsys, monkeypatch):
+        calls = []
+        validate = core.validate_prefix
+        monkeypatch.setattr(core, "validate_prefix",
+                            lambda c: calls.append(c.n) or validate(c))
+        code, out, _ = run(capsys, "table", "--n-list", "2,8,13", "--csv")
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 18 and sorted(calls) == [2] * 6 + [8] * 6 + [13] * 6
 
     def test_check_formulas_powers_of_two(self, capsys):
         code, out, _ = run(capsys, "table", "--n-list", "2:512:*2",

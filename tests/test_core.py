@@ -1,5 +1,8 @@
 """Core circuit representation: evaluation, validation, metrics, bounds."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -313,3 +316,13 @@ def test_exports_resolve_once():
     # a name dropped from the package but left in __all__ breaks `import *`
     assert [name for name in pc.__all__ if not hasattr(pc, name)] == []
     assert len(set(pc.__all__)) == len(pc.__all__)
+
+
+def test_no_process_wide_cache():
+    # a functools cache on a module-level function is process-wide state
+    # with no size limit; every function of every module is checked
+    modules = [importlib.import_module(f"prefixcircuits.{m.name}")
+               for m in pkgutil.iter_modules(pc.__path__)]
+    cached = [f"{mod.__name__}.{name}" for mod in [pc, *modules]
+              for name, obj in vars(mod).items() if hasattr(obj, "cache_info")]
+    assert len(modules) >= 7 and cached == []

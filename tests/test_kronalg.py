@@ -10,7 +10,6 @@ from prefixcircuits import (
     brent_kung_kron_step,
     build,
     evaluate,
-    h_stats,
     kron,
     mat_s,
     prefix_via_kron,
@@ -167,34 +166,3 @@ class TestBrentKungKronStep:
             via_circuit = evaluate(brent_kung(n), x.tolist(), lambda a, b: a + b)
             assert via_matrix == via_circuit
 
-
-class TestHStats:
-    def test_8_2(self):
-        h = h_stats(8, 2)
-        assert h.h_seq == (8, 3, 1)  # ceil(8/2)-1 = 3, ceil(3/2)-1 = 1
-        assert h.h_star == 1
-        assert h.remainder == 3
-
-    def test_27_3(self):
-        h = h_stats(27, 3)
-        assert h.h_seq == (27, 8, 2)
-        assert h.h_star == 1
-
-    def test_base_case_convention(self):
-        # h(n) <= s at the first step: h_star = 0 and remainder = n
-        h = h_stats(5, 3)
-        assert (h.h_star, h.remainder) == (0, 5)
-
-    def test_recursion_terminates_in_h_star_plus_one_levels(self):
-        # the blocked recursion n -> ceil(n/s)-1 hits its serial base after
-        # exactly h_star + 1 shrinking steps (power-of-s detours add at most
-        # one more); swept over a large range
-        for s in (2, 3, 5, 11):
-            for n in range(s + 1, 200_000, 17):
-                h = h_stats(n, s)
-                v = n
-                levels = 0
-                while v > s:
-                    v = -(-v // s) - 1
-                    levels += 1
-                assert levels == h.h_star + 1, (n, s)

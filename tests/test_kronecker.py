@@ -130,6 +130,51 @@ class TestPlan:
         assert pc.kronecker_plan(9, 2).power_fix_applied  # hits 4 = 2**2 mid-chain
         assert not pc.kronecker_plan(7, 2).power_fix_applied
 
+    @staticmethod
+    def sizes(plan):
+        """n and the iterates of the size map h(v) = ceil(v/s) - 1."""
+        return (plan.n, *(r.recursive_n for r in plan.layer_boundaries))
+
+    def test_size_map_8_2(self):
+        # 8 = 2**3 is built on 7, and h(7) = h(8): ceil(8/2)-1 = 3, ceil(3/2)-1 = 1
+        plan = pc.kronecker_plan(8, 2)
+        assert self.sizes(plan) == (8, 3, 1)
+        assert [r.n for r in plan.layer_boundaries] == [7, 3]
+
+    def test_size_map_27_3(self):
+        plan = pc.kronecker_plan(27, 3)
+        assert self.sizes(plan) == (27, 8, 2)
+        assert len(plan.layer_boundaries) == 2
+
+    def test_base_case_convention(self):
+        # h(n) <= s at the first step: one blocked level, then the serial
+        # base; n <= s is the base itself and has no level
+        assert self.sizes(pc.kronecker_plan(5, 3)) == (5, 1)
+        for n in (1, 2, 3):
+            assert pc.kronecker_plan(n, 3).layer_boundaries == ()
+
+    def test_one_record_per_shrinking_step(self):
+        # the map n -> ceil(n/s)-1 hits the serial base after exactly one
+        # step per record; the power-of-s detour adds no record
+        for s in (2, 3, 5, 11):
+            for n in range(s + 1, 200_000, 17):
+                v = n
+                levels = 0
+                while v > s:
+                    v = -(-v // s) - 1
+                    levels += 1
+                assert levels == len(pc.kronecker_plan(n, s).layer_boundaries), (n, s)
+
+    def test_depth_from_plan(self):
+        # s levels per record, one for the power fix, n - 1 for the serial base
+        cases = [(n, s) for s in range(2, 13) for n in range(1, 5001)]
+        cases += [(3 ** k, 3) for k in range(1, 41)]
+        for n, s in cases:
+            plan = pc.kronecker_plan(n, s)
+            records, fix = plan.layer_boundaries, plan.power_fix_applied
+            base = records[-1].recursive_n if records else n - fix
+            assert pc.kronecker_depth(n, s) == s * len(records) + fix + base - 1, (n, s)
+
 
 class TestEdgePredicate:
     def test_block0_layer1_edge(self):
@@ -145,7 +190,7 @@ class TestEdgePredicate:
         assert not pc.edge_predicate(1, 2, 0, 0, 0)
         for s in (2, 3, 4):
             assert pc.level_edges(1, s, 0) == []
-            for n in (2, s, s + 1, s ** 2, 50):
+            for n in (2, s, s + 1, s ** 2, s ** 2 + 1, s ** 3, 50):
                 assert pc.level_edges(n, s, -1) == []
                 assert pc.level_edges(n, s, pc.circuit_depth(n, s)) == []
 
