@@ -180,9 +180,8 @@ def circuit_depth(n: int, s: int) -> int:
     _check_params(n, s)
     if n <= s:
         return n - 1
-    # a power of s is built on n - 1, which is neither <= s nor a power of s
-    fix = is_power_of(n, s)
-    return fix + s + -(-(n - fix) // s) - 2
+    # a power of s is the build for n - 1 (same ceil(n/s)) plus one level
+    return is_power_of(n, s) + s + -(-n // s) - 2
 
 
 def kronecker_depth(n: int, s: int) -> int:
@@ -200,6 +199,8 @@ def kronecker_depth(n: int, s: int) -> int:
     _check_params(n, s)
     depth = 0
     while n > s:
+        # the inline n % s test skips a call for most n (about a tenth of
+        # criterion 4's 1.5M-call sweep); is_power_of makes the same test
         if n % s == 0 and is_power_of(n, s):
             depth += 1
             n -= 1
@@ -282,20 +283,19 @@ def _level_gates(n: int, s: int, level: int):
     `cols` is a range of candidate destination columns; `left(c)` is the
     column of the left operand of the gate in column c, or None where c has
     no gate.  Out-of-range levels (every level when n == 1) give no columns.
-    Each case works out its own built depth (the terms of circuit_depth),
-    so a call walks the case split once.
+    The blocked depth D is worked out here rather than by circuit_depth, so
+    a call walks the case split once; parameters are checked by the callers.
     """
     lv = level + 1  # level of the gates
     if level < 0:
         return range(0), None
     if n <= s:  # the serial chain, depth n - 1
         return (range(lv, lv + 1) if lv < n else range(0)), lambda c: c - 1
-    if is_power_of(n, s):  # the build for n - 1, then one gate on level D
-        D = s + -(-(n - 1) // s) - 1
-        if lv < D:
-            return _level_gates(n - 1, s, level)
-        return (range(n - 1, n) if lv == D else range(0)), lambda c: c - 1
     D = s + -(-n // s) - 2
+    if is_power_of(n, s):  # the build for n - 1 (depth D), then one gate
+        if lv <= D:
+            return _level_gates(n - 1, s, level)
+        return (range(n - 1, n) if lv == D + 1 else range(0)), lambda c: c - 1
     if lv <= s - 1:  # in-block serial
         return range(lv, n, s), lambda c: c - 1
     if lv < D:  # middle chain gate j at column (j+1)s - 1
@@ -314,6 +314,7 @@ def edge_predicate(n: int, s: int, level: int, src_node: int, dst_node: int) -> 
 
     O(log n) arithmetic on kronecker_circuit(n, s); agrees with level_edges.
     """
+    _check_params(n, s)
     cols, left = _level_gates(n, s, level)
     if dst_node not in cols:
         return False
@@ -323,6 +324,7 @@ def edge_predicate(n: int, s: int, level: int, src_node: int, dst_node: int) -> 
 
 def level_edges(n: int, s: int, level: int) -> list:
     """All grid edges (src, dst) from `level` into gates at level + 1."""
+    _check_params(n, s)
     cols, left = _level_gates(n, s, level)
     edges = []
     for c in cols:

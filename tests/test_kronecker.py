@@ -194,6 +194,19 @@ class TestEdgePredicate:
                 assert pc.level_edges(n, s, -1) == []
                 assert pc.level_edges(n, s, pc.circuit_depth(n, s)) == []
 
+    def test_bad_params(self):
+        # s = 1 would never leave is_power_of's loop; s = 0 divides by zero
+        for call in (
+            lambda: pc.edge_predicate(5, 1, 0, 0, 0),
+            lambda: pc.edge_predicate(0, 2, 0, 0, 0),
+            lambda: pc.level_edges(5, 1, 0),
+            lambda: pc.level_edges(4, 0, 0),
+            lambda: pc.level_edges(5, -1, 0),
+            lambda: pc.level_edges(0, 2, 0),
+        ):
+            with pytest.raises(ValueError):
+                call()
+
     def test_matches_lister_small(self):
         for s in (2, 3, 4, 7):
             for n in range(2, 25):
