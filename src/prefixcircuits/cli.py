@@ -1,6 +1,7 @@
 """Command-line interface: generate, analyze, compare, and verify circuits.
 
-Exit codes: 0 = all checks passed, 1 = a check failed, 2 = usage error.
+Exit codes: 0 = all checks passed, 1 = a check failed or stdout was closed
+early, 2 = usage error.
 Measured values are always printed next to the closed-form expectations so
 drift is visible rather than silently tolerated.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -298,10 +300,16 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+        return code
     except ValueError as e:  # bad argument values: usage error, no traceback
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout early, e.g. `| head`
+        # point stdout at devnull so the interpreter's final flush is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

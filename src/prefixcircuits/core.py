@@ -29,7 +29,7 @@ class CircuitMetrics:
     size: int
     depth: int
     max_fanout: int
-    deficiency: int
+    deficiency: int  # size + depth - (2n - 2); zero meets the lower bound
     valid: bool
 
 
@@ -224,11 +224,6 @@ def _max_fanout(circuit: PrefixCircuit, count_outputs: bool) -> int:
     if count_outputs:
         fan += np.bincount(circuit._outs, minlength=N)
     return int(fan.max()) if len(fan) else 0
-
-
-def snir_gap(m: CircuitMetrics, n: int) -> int:
-    """S + D - (2n - 2); zero means the size/depth trade-off is tight."""
-    return m.size + m.depth - (2 * n - 2)
 
 
 def fib_depth_lower_bound(n: int) -> int:

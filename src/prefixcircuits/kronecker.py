@@ -17,29 +17,27 @@ gate attaches the last input, which caps the fan-out of the last boundary
 wire at s.  The result is zero-deficiency (size + depth = 2n - 2) with
 maximum fan-out <= s, for every n >= 2 and s >= 2.
 
-Layer 2 is pluggable: the `middle` hook on :func:`kronecker_circuit` puts
-any prefix circuit on the block totals in place of the chain.  One builder
-serves every middle; it maps the middle's inputs to the block totals and
-numbers its gates after layer 1, and the serial chain is both the default
-middle and the ``n <= s`` base case.
-
 Chaining layer 2 is what keeps every wire's fan-out within s: feeding the
 block totals back through the blocked construction itself re-uses each
 boundary prefix at every nesting level, pushing fan-out above s by up to
-s-1 per level (measurably so from n = 11 at s = 2; a re-blocked `middle`
-exhibits it).  The price is depth: the built circuit has depth
-s + ceil(n/s) - 2 (see :func:`circuit_depth`), while :func:`kronecker_depth`
-gives the depth of the fully re-blocked recursion
+s-1 per level (measurably so from n = 11 at s = 2).  The price is depth:
+the built circuit has depth s + ceil(n/s) - 2 (see :func:`circuit_depth`).
+:func:`reblocked_circuit` builds the other member of the family, with
+layer 2 the same construction applied to the block totals, one array
+recursion; its depth is :func:`kronecker_depth`
 
     D(n) = n - 1                 for n <= s
     D(n) = 1 + D(n - 1)          for n an exact power of s
     D(n) = s + D(ceil(n/s) - 1)  otherwise
 
 which stays below ``s * ceil(log_s n) - 1`` and is the quantity the
-block-size dynamic program optimizes.  The two agree exactly while the
-chain in layer 2 is no longer than a serial base case would be
-(``kronecker_depth(m, s) == m - 1`` for the middle size m); beyond that the
-built depth exceeds the recursion value.
+block-size dynamic program optimizes.  It is zero-deficiency too, and
+within each level no wire feeds more than s gates (the abstract's
+"constant fan-out per level"; ``PAPER.md`` holds only the abstract, so
+this per-level reading is an inference).  The chained build agrees with
+the recursion value exactly while the chain in layer 2 is no longer than a
+serial base case would be (``kronecker_depth(m, s) == m - 1`` for the
+middle size m); beyond that its depth exceeds the recursion value.
 
 No depth is memoized: :func:`circuit_depth` is a closed form, and
 :func:`kronecker_depth` and :func:`kronecker_plan` are loops over the size
@@ -72,32 +70,30 @@ def _check_params(n: int, s: int):
         raise ValueError("block size s must be >= 2")
 
 
-def kronecker_circuit(n: int, s: int, middle=None) -> PrefixCircuit:
+def kronecker_circuit(n: int, s: int) -> PrefixCircuit:
     """Build the blocked zero-deficiency circuit for n inputs, block size s.
 
-    `middle`, when given, generates the layer that combines the block
-    totals: it is called with the number of surviving totals m and must
-    return a PrefixCircuit on m inputs.  Any zero-deficiency middle keeps
-    the whole circuit zero-deficiency, but only chain-shaped middles keep
-    fan-out within s; the default (equivalent to passing `serial`) is the
-    chain.  Passing a recursive self-call, e.g.
-
-        lambda m: kronecker_circuit(m, s, middle=...)
-
-    yields the fully re-blocked variant whose depth is kronecker_depth(n, s)
-    at the cost of fan-out rising above s at nested block boundaries.
+    Layer 2 is the serial chain, which keeps every wire's fan-out within s;
+    :func:`reblocked_circuit` trades that for depth kronecker_depth(n, s).
     """
     _check_params(n, s)
-    if middle is None:
-        return PrefixCircuit.from_arrays(n, *_build_arrays(n, s))
+    return PrefixCircuit.from_arrays(n, *_build_arrays(n, s))
 
-    def middle_arrays(m):
-        mc = middle(m)
-        if mc.n != m:
-            raise ValueError(f"middle generator returned {mc.n} inputs, expected {m}")
-        return mc._lefts, mc._rights, mc._levels, mc._outs
 
-    return PrefixCircuit.from_arrays(n, *_build_arrays(n, s, middle_arrays))
+def reblocked_circuit(n: int, s: int) -> PrefixCircuit:
+    """Build the fully re-blocked circuit: layer 2 is this construction again.
+
+    Zero-deficiency with depth kronecker_depth(n, s) and at most s gates per
+    level reading any one wire (the per-level reading of the abstract's
+    fan-out claim, an inference: ``PAPER.md`` holds only the abstract);
+    its global fan-out exceeds s once the recursion nests (3 at (11, 2)).
+    """
+    _check_params(n, s)
+
+    def middle(m):
+        return _build_arrays(m, s, middle)
+
+    return PrefixCircuit.from_arrays(n, *_build_arrays(n, s, middle))
 
 
 def _chain(m: int):
@@ -190,11 +186,11 @@ def kronecker_depth(n: int, s: int) -> int:
     One loop over the size map: a power of s costs one level and steps to
     n - 1, any other n > s costs s levels and steps to ceil(n/s) - 1, and
     the serial base adds n - 1.  Bounded by ``s * ceil(log_s n) - 1``;
-    minimized over s by :func:`min_depth_table`.  Built circuits match this
-    value exactly whenever the middle layer is small enough that re-blocking
-    it would degenerate to the same chain (``kronecker_depth(ceil(n/s)-1, s)
-    == ceil(n/s) - 2``); see the module docstring for why the builder chains
-    the middle layer unconditionally.
+    minimized over s by :func:`min_depth_table`.  :func:`reblocked_circuit`
+    has this depth; :func:`kronecker_circuit` matches it exactly whenever
+    the middle layer is small enough that re-blocking it would degenerate
+    to the same chain (``kronecker_depth(ceil(n/s)-1, s) == ceil(n/s) - 2``);
+    see the module docstring for why that builder chains the middle layer.
     """
     _check_params(n, s)
     depth = 0

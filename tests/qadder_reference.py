@@ -1,6 +1,6 @@
 """The gate-list form of the adder that qadder.py used before a circuit
 became its layers, kept verbatim as the reference the differential tests in
-test_qadder.py compare against: `build_adder` expands the layers into one
+test_qadder.py and criterion 10's estimator check compare against: `build_adder` expands the layers into one
 `Gate` tuple per gate, `resources` checks layer overlaps and counts depth
 gate by gate with `_DepthCounter`, and `netlist` and `simulate` walk the
 gates one at a time.  The layer builder is kept as it was too, so the

@@ -40,7 +40,7 @@ class TestSklansky:
     def test_n4_tight(self):
         m = pc.metrics(pc.sklansky(4))
         assert (m.size, m.depth) == (4, 2)
-        assert pc.snir_gap(m, 4) == 0
+        assert m.deficiency == 0
 
     def test_depth_is_ceil_log2_all_n(self):
         for n in range(1, 513):
@@ -95,7 +95,7 @@ class TestBrentKung:
         # the construction; the often-quoted "log n + 1" does not match the
         # size/depth pair 2n-log n-2 / 2log n-1 it is stated alongside.
         m = pc.metrics(pc.brent_kung(16))
-        assert pc.snir_gap(m, 16) == 3
+        assert m.deficiency == 3
 
     def test_validate_to_128(self):
         for n in range(1, 129):

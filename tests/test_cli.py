@@ -1,6 +1,10 @@
 """Command-line surface: outputs, exit codes, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +51,22 @@ def test_exit_codes(capsys, argv, code):
     assert got == code
     if code == 2:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the JSON table is far more than a pipe buffers (64 KiB), so its write
+    # meets the closed pipe: exit 1, nothing on stderr but what we print
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "prefixcircuits.cli", "table", "--n-list", "2:512",
+         "--json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 class TestGenerate:

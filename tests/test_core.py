@@ -275,20 +275,20 @@ class TestSnirGap:
     def test_brent_kung_8_measured(self):
         # (11 + 5) - 14 = 2; the suboptimal pair-and-fix construction
         m = pc.metrics(pc.brent_kung(8))
-        assert pc.snir_gap(m, 8) == 2
+        assert m.deficiency == 2
 
     def test_kronecker_zero(self):
-        assert pc.snir_gap(pc.metrics(pc.kronecker_circuit(7, 2)), 7) == 0
+        assert pc.metrics(pc.kronecker_circuit(7, 2)).deficiency == 0
 
     def test_serial_always_zero(self):
         for n in (2, 3, 17, 100):
-            assert pc.snir_gap(pc.metrics(pc.serial(n)), n) == 0
+            assert pc.metrics(pc.serial(n)).deficiency == 0
 
     def test_nonnegative_for_all_generators(self):
         for n in range(2, 40):
             for c in (pc.serial(n), pc.sklansky(n), pc.kogge_stone(n),
                       pc.brent_kung(n), pc.kronecker_circuit(n, 2)):
-                assert pc.snir_gap(pc.metrics(c), n) >= 0
+                assert pc.metrics(c).deficiency >= 0
 
 
 class TestFibDepthLowerBound:
@@ -308,7 +308,7 @@ class TestFibDepthLowerBound:
         # sklansky(4) is a depth-2 circuit meeting the size+depth bound, so
         # the calibrated lower bound cannot exceed 2 at n = 4
         m = pc.metrics(pc.sklansky(4))
-        assert pc.snir_gap(m, 4) == 0 and m.depth == 2
+        assert m.deficiency == 0 and m.depth == 2
         assert pc.fib_depth_lower_bound(4) <= 2
 
 

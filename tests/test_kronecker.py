@@ -1,5 +1,6 @@
 """The blocked zero-deficiency family, its depth recursion, and the DP."""
 
+import numpy as np
 import pytest
 
 import prefixcircuits as pc
@@ -11,7 +12,7 @@ class TestKroneckerCircuit:
         # recursion unroll: D(7) = 2 + D(3) = 4; zero-deficiency size 2n-2-D
         m = pc.metrics(pc.kronecker_circuit(7, 2))
         assert (m.size, m.depth, m.max_fanout) == (8, 4, 2)
-        assert pc.snir_gap(m, 7) == 0
+        assert m.deficiency == 0
 
     def test_serial_collapse(self):
         m = pc.metrics(pc.kronecker_circuit(3, 4))
@@ -20,7 +21,7 @@ class TestKroneckerCircuit:
     def test_8_2_power_fix(self):
         m = pc.metrics(pc.kronecker_circuit(8, 2))
         assert m.depth == 5 and m.size == 9
-        assert pc.snir_gap(m, 8) == 0 and m.max_fanout <= 2
+        assert m.deficiency == 0 and m.max_fanout <= 2
 
     def test_27_3_built_metrics(self):
         # The fan-out guarantee forces the chained middle layer, so the built
@@ -29,7 +30,7 @@ class TestKroneckerCircuit:
         # kronecker_depth for the recursion value).
         m = pc.metrics(pc.kronecker_circuit(27, 3))
         assert (m.size, m.depth, m.max_fanout) == (41, 11, 3)
-        assert pc.snir_gap(m, 27) == 0
+        assert m.deficiency == 0
 
     def test_bad_params(self):
         with pytest.raises(ValueError):
@@ -83,36 +84,64 @@ class TestKroneckerDepth:
                     assert kd < cd, (n, s)
 
 
-class TestMiddleHook:
-    def reblocked(self, n, s):
-        return pc.kronecker_circuit(n, s, middle=lambda m: self.reblocked(m, s))
+class TestReblocked:
+    def test_golden_7_2(self):
+        c = pc.reblocked_circuit(7, 2)
+        assert c._lefts.tolist() == [0, 2, 4, 7, 10, 7, 10, 11]
+        assert c._rights.tolist() == [1, 3, 5, 8, 9, 2, 4, 6]
+        assert c._levels.tolist() == [1, 1, 1, 2, 3, 4, 4, 4]
+        assert c._outs.tolist() == [0, 7, 12, 10, 13, 11, 14]
 
-    def test_serial_middle_reproduces_default(self):
-        # the default middle and the n <= s base case are the serial chain
-        for s in range(2, 8):
-            for n in [*range(1, 131), s ** 2, s ** 3, s ** 4]:
-                assert pc.kronecker_circuit(n, s, middle=pc.serial) == \
-                    pc.kronecker_circuit(n, s), (n, s)
+    def test_golden_11_2(self):
+        c = pc.reblocked_circuit(11, 2)
+        assert c._lefts.tolist() == [0, 2, 4, 6, 8, 11, 13, 16, 16, 18,
+                                     11, 16, 19, 18, 20]
+        assert c._rights.tolist() == [1, 3, 5, 7, 9, 12, 14, 17, 13, 15,
+                                      2, 4, 6, 8, 10]
+        assert c._levels.tolist() == [1, 1, 1, 1, 1, 2, 2, 3, 4, 4,
+                                      5, 5, 5, 5, 5]
+        assert c._outs.tolist() == [0, 11, 21, 16, 22, 19, 23, 18, 24, 20, 25]
 
-    def test_reblocked_middle_attains_recursion_depth(self):
+    def test_attains_recursion_depth(self):
         # feeding the block totals back through the family itself realizes
         # kronecker_depth exactly and stays zero-deficiency...
         for n, s in ((7, 2), (11, 2), (27, 3), (100, 3), (256, 2)):
-            m = pc.metrics(self.reblocked(n, s))
-            assert m.valid and pc.snir_gap(m, n) == 0
+            m = pc.metrics(pc.reblocked_circuit(n, s))
+            assert m.valid and m.deficiency == 0
             assert m.depth == pc.kronecker_depth(n, s), (n, s)
-        m = pc.metrics(self.reblocked(27, 3))
+        m = pc.metrics(pc.reblocked_circuit(27, 3))
         assert (m.size, m.depth) == (44, 8)
 
-    def test_reblocked_middle_breaks_fanout(self):
+    def test_breaks_global_fanout(self):
         # ...but its fan-out exceeds s once the recursion nests, which is
-        # why the default middle is the chain
-        assert pc.metrics(self.reblocked(11, 2)).max_fanout == 3
-        assert pc.metrics(self.reblocked(27, 3)).max_fanout == 5
+        # why kronecker_circuit chains the middle layer
+        assert pc.metrics(pc.reblocked_circuit(11, 2)).max_fanout == 3
+        assert pc.metrics(pc.reblocked_circuit(27, 3)).max_fanout == 5
 
-    def test_middle_arity_checked(self):
-        with pytest.raises(ValueError, match="middle"):
-            pc.kronecker_circuit(9, 2, middle=lambda m: pc.serial(m + 1))
+    def test_paper_properties(self):
+        # the abstract's three claims: zero deficiency, constant fan-out per
+        # level (read as: within one level no wire feeds more than s gates;
+        # PAPER.md holds only the abstract, so this reading is an
+        # inference) and the re-blocked depth
+        bad = []
+        for s in range(2, 9):
+            for n in range(2, 513):
+                c = pc.reblocked_circuit(n, s)
+                m = pc.metrics(c)
+                N = n + c.size
+                level = np.concatenate((c._levels, c._levels))
+                wire = np.concatenate((c._lefts, c._rights))
+                per_level = int(np.bincount(level * N + wire).max())
+                if not (m.valid and m.deficiency == 0 and per_level <= s
+                        and m.depth == pc.kronecker_depth(n, s)):
+                    bad.append((n, s, m, per_level))
+        assert bad == []
+
+    def test_bad_params(self):
+        with pytest.raises(ValueError):
+            pc.reblocked_circuit(8, 1)
+        with pytest.raises(ValueError):
+            pc.reblocked_circuit(0, 2)
 
 
 class TestPlan:
