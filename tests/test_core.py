@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import prefixcircuits as pc
 from prefixcircuits import CircuitStructureError, PrefixCircuit
+from prefixcircuits.core import _CHUNK, _forest_roots
 
 
 def ref_validate(circuit):
@@ -233,6 +235,134 @@ class TestValidatePrefix:
     def test_empty_arrays_accepted(self):
         # numpy reads an empty list as float64; it holds no value to misread
         assert PrefixCircuit.from_arrays(1, [], [], [], [0]) == pc.serial(1)
+
+
+def _roots_loop(n, parent):
+    """Reference forest roots: one gate at a time, in topological order."""
+    root = list(range(n)) + [0] * len(parent)
+    for g, p in enumerate(parent.tolist()):
+        root[n + g] = root[p]
+    return root
+
+
+@st.composite
+def forests(draw):
+    """(n, parent) built from runs: long chains, fans off one wire, and
+    single gates that point at a chunk's first gate or the wire below it."""
+    n = draw(st.integers(1, 5))
+    parent = []
+    for kind, size in draw(st.lists(st.tuples(
+            st.sampled_from(["chain", "fan", "edge", "any"]), st.integers(1, 150)),
+            max_size=12)):
+        w = n + len(parent)
+        if kind == "chain":
+            parent += range(w - 1, w - 1 + size)
+        elif kind == "fan":
+            parent += [w - 1] * size
+        elif kind == "edge":
+            first = n + _CHUNK * draw(st.integers(0, (w - n) // _CHUNK))
+            parent.append(draw(st.sampled_from([first - 1, min(first, w - 1)])))
+        else:
+            parent.append(draw(st.integers(0, w - 1)))
+    return n, np.array(parent, dtype=np.int64)
+
+
+ROOT_GENERATORS = {**GENERATED, "reblocked": lambda n, p: pc.reblocked_circuit(n, 2 + p % 4)}
+
+
+class TestForestRoots:
+    @given(forests())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_loop(self, forest):
+        n, parent = forest
+        assert _forest_roots(n, parent).tolist() == _roots_loop(n, parent)
+
+    @pytest.mark.parametrize("G", [0, 1, 63, 64, 65, 127, 128, 129, 5000])
+    def test_chunk_sizes(self, G):
+        rng = np.random.default_rng(G)
+        wires = np.arange(1, G + 1)
+        chain = wires - 1
+        anywhere = (rng.random(G) * wires).astype(np.int64)
+        for parent in (chain, anywhere):
+            assert _forest_roots(1, parent).tolist() == _roots_loop(1, parent)
+
+    @pytest.mark.parametrize("name", sorted(ROOT_GENERATORS))
+    def test_generators(self, name):
+        for n in (1, 2, 63, 64, 65, 1000):
+            c = ROOT_GENERATORS[name](n, n)
+            for parent in (c._lefts, c._rights):
+                assert _forest_roots(n, parent).tolist() == _roots_loop(n, parent)
+
+
+# two faults at different gates of sklansky(8) (n = 8, gates 0..11 on wires
+# 8..19), as (array, index, value) edits: the check reports by kind, not by
+# gate (a level below 1, then per side (lefts first) a dangling wire, an
+# operand that does not precede its gate, a level-order break; then a
+# dangling output), so the message names the fault whose kind comes first
+TWO_FAULTS = [
+    ((("lefts", 1, -1), ("rights", 9, 18)), "gate 1: dangling wire -1"),
+    ((("lefts", 9, 25), ("rights", 3, 12)), "gate 9: dangling wire 25"),
+    ((("lefts", 9, 16), ("rights", 3, -1)), "gate 9: operand gate 8 violates level order"),
+    ((("lefts", 5, 12), ("rights", 9, 25)), "gate 5: operand gate 4 violates level order"),
+    ((("lefts", 5, -1), ("outs", 6, -2)), "gate 5: dangling wire -1"),
+    ((("lefts", 9, 25), ("outs", 2, 20)), "gate 9: dangling wire 25"),
+    ((("levels", 9, 0), ("rights", 1, -1)), "gate 9: level must be >= 1"),
+    ((("levels", 3, 0), ("rights", 9, 25)), "gate 3: level must be >= 1"),
+    ((("lefts", 3, 12), ("rights", 9, 16)), "gate 3: operand gate 4 does not precede it"),
+    ((("lefts", 9, 18), ("rights", 5, 12)), "gate 9: operand gate 10 does not precede it"),
+    ((("outs", 6, -2), ("rights", 5, 14)), "gate 5: operand gate 6 does not precede it"),
+    ((("outs", 2, 20), ("rights", 9, 18)), "gate 9: operand gate 10 does not precede it"),
+    ((("lefts", 1, 10), ("levels", 9, 0)), "gate 9: level must be >= 1"),
+    ((("lefts", 9, 18), ("levels", 3, 0)), "gate 3: level must be >= 1"),
+    ((("outs", 6, -2), ("rights", 3, 10)), "gate 3: operand gate 2 violates level order"),
+    ((("outs", 2, 20), ("rights", 9, 16)), "gate 9: operand gate 8 violates level order"),
+    ((("lefts", 5, 12), ("levels", 9, 0)), "gate 9: level must be >= 1"),
+    ((("lefts", 9, 16), ("levels", 1, 0)), "gate 1: level must be >= 1"),
+    ((("levels", 9, 0), ("outs", 2, 20)), "gate 9: level must be >= 1"),
+    ((("levels", 3, 0), ("outs", 6, -2)), "gate 3: level must be >= 1"),
+    ((("lefts", 9, 25), ("rights", 1, -1)), "gate 9: dangling wire 25"),
+    ((("lefts", 5, -1), ("rights", 9, 25)), "gate 5: dangling wire -1"),
+    ((("lefts", 9, 18), ("rights", 1, 10)), "gate 9: operand gate 10 does not precede it"),
+    ((("lefts", 5, 14), ("rights", 9, 18)), "gate 5: operand gate 6 does not precede it"),
+    ((("lefts", 9, 16), ("rights", 1, 8)), "gate 9: operand gate 8 violates level order"),
+    ((("lefts", 5, 12), ("rights", 9, 16)), "gate 5: operand gate 4 violates level order"),
+    ((("lefts", 5, -1), ("rights", 5, 14)), "gate 5: dangling wire -1"),
+    ((("lefts", 5, 14), ("rights", 5, -1)), "gate 5: operand gate 6 does not precede it"),
+    ((("lefts", 3, 12), ("lefts", 9, 20)), "gate 9: dangling wire 20"),
+    ((("lefts", 1, 8), ("lefts", 9, 18)), "gate 9: operand gate 10 does not precede it"),
+    ((("rights", 1, 8), ("rights", 9, -1)), "gate 9: dangling wire -1"),
+    ((("rights", 3, 12), ("rights", 11, 20)), "gate 11: dangling wire 20"),
+    ((("lefts", 11, 19), ("rights", 0, 20)), "gate 11: operand gate 11 does not precede it"),
+]
+
+
+class TestStructureCheck:
+    @pytest.mark.parametrize("faults, message", TWO_FAULTS)
+    def test_first_fault_reported(self, faults, message):
+        base = pc.sklansky(8)
+        arrays = {name: getattr(base, "_" + name).copy()
+                  for name in ("lefts", "rights", "levels", "outs")}
+        for name, i, value in faults:
+            arrays[name][i] = value
+        with pytest.raises(CircuitStructureError) as err:
+            PrefixCircuit.from_arrays(8, *arrays.values())
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("arrays, message", [
+        # a one-gate circuit with a second level once read as depth 5
+        (([0], [1], [1, 5], [0, 2]), "levels: expected 1 entries, got 2"),
+        # a phantom right operand once counted in max_fanout
+        (([0], [1, 0], [1], [0, 2]), "rights: expected 1 entries, got 2"),
+        (([0, 2], [1], [1, 2], [0, 3]), "rights: expected 2 entries, got 1"),
+        (([[0]], [1], [1], [0, 2]), "lefts: expected a 1-D array"),
+        (([0], [1], [1], [[0, 2]]), "outs: expected a 1-D array"),
+        # the shape is checked before any wire: gate 0's 9 dangles too
+        (([9], [1], [1, 2], [0, 2]), "levels: expected 1 entries, got 2"),
+    ], ids=["levels-long", "rights-long", "rights-short", "lefts-2d", "outs-2d",
+            "shape-first"])
+    def test_array_shapes_rejected(self, arrays, message):
+        with pytest.raises(CircuitStructureError, match=f"^{re.escape(message)}$"):
+            PrefixCircuit.from_arrays(2, *arrays)
 
 
 class TestMetrics:
