@@ -47,12 +47,14 @@ class PrefixCircuit:
         """Construct from flat wire-id arrays (see the module docstring).
 
         Raises CircuitStructureError for a malformed circuit, including a
-        non-1-D array, unequal lengths, or values that are not integers.
+        non-1-D array, unequal lengths, or an n or values that are not integers.
         """
+        if isinstance(n, bool) or not hasattr(n, "__index__"):
+            raise CircuitStructureError(f"n: expected an integer, got {n!r}")
         if n < 1:
             raise CircuitStructureError("circuit needs at least one input")
         self = object.__new__(cls)
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n.__index__())
         for name, a in (("lefts", lefts), ("rights", rights), ("levels", levels),
                         ("outs", outs)):
             a = np.asarray(a)

@@ -17,6 +17,15 @@ gate attaches the last input, which caps the fan-out of the last boundary
 wire at s.  The result is zero-deficiency (size + depth = 2n - 2) with
 maximum fan-out <= s, for every n >= 2 and s >= 2.
 
+Every wire id is a closed form in the column c (gate g is wire n + g).
+Layer 1's gate in column c, for c mod s != 0, is wire ``n - 1 + c - c//s``;
+``partial[c]`` is that wire, or c at a block start.  The middle circuit
+reads the full blocks' totals ``partial[s-1 : s(b-1) : s]`` and numbers its
+gates from ``2n - b``; layer 3's gates follow, one per column from s on
+other than those totals.  The outputs are ``partial`` with the middle's
+outputs written over the totals and layer 3's gates over their columns.
+A power of s moves each gate of the n - 1 build one wire up, w + (w >= n - 1).
+
 Chaining layer 2 is what keeps every wire's fan-out within s: feeding the
 block totals back through the blocked construction itself re-uses each
 boundary prefix at every nesting level, pushing fan-out above s by up to
@@ -103,71 +112,37 @@ def _chain(m: int):
     return outs[:-1], ids + 1, ids + 1, outs
 
 
-def _attach_last_input(n: int, sub):
-    """Arrays for n inputs from `sub`, the arrays for n - 1 inputs.
-
-    One gate on a new level combines the last output with input n - 1.
-    """
-    lefts, rights, levels, outs = sub
-    # inputs gain one slot: gate ids shift from (n-1)+g to n+g
-    lefts = np.where(lefts >= n - 1, lefts + 1, lefts)
-    rights = np.where(rights >= n - 1, rights + 1, rights)
-    outs = np.where(outs >= n - 1, outs + 1, outs)
-    depth = levels.max() if len(levels) else 0
-    lefts = np.append(lefts, outs[-1])
-    rights = np.append(rights, n - 1)
-    levels = np.append(levels, depth + 1)
-    outs = np.append(outs, n + len(lefts) - 1)
-    return lefts, rights, levels, outs
-
-
 def _build_arrays(n: int, s: int, middle=_chain):
-    """Arrays of the blocked circuit; `middle(m)` gives the arrays of layer 2."""
+    """Arrays of the blocked circuit; `middle(m)` gives the arrays of layer 2.
+
+    Wire ids are closed forms in the column (see the module docstring).
+    """
     if n <= s:
         return _chain(n)
-    if is_power_of(n, s):
-        return _attach_last_input(n, _build_arrays(n - 1, s, middle))
+    if is_power_of(n, s):  # the build for n - 1, gates one wire up, + 1 gate
+        lefts, rights, levels, outs = _build_arrays(n - 1, s, middle)
+        lefts, rights, outs = (a + (a >= n - 1) for a in (lefts, rights, outs))
+        return (np.append(lefts, outs[-1]), np.append(rights, n - 1),
+                np.append(levels, levels.max() + 1), np.append(outs, n + len(lefts)))
 
     b = -(-n // s)
-    m = b - 1
     cols = np.arange(n, dtype=np.int64)
-
-    # layer 1: serial inside blocks; one gate per non-block-start column
-    l1_cols = cols[cols % s != 0]
-    g1 = len(l1_cols)  # n - b
-    rank = np.full(n, -1, dtype=np.int64)
-    rank[l1_cols] = np.arange(g1)
-    partial = np.where(cols % s == 0, cols, n + rank)
-    l1_left = partial[l1_cols - 1]
-    l1_right = l1_cols
-    l1_level = l1_cols % s
-
-    # layer 2: the middle circuit over block totals w_0..w_{m-1}, its
-    # inputs mapped to the totals and its gates numbered after layer 1
-    w = partial[np.minimum(np.arange(b, dtype=np.int64) * s + s - 1, n - 1)]
-    mid_l, mid_r, mid_lv, mid_o = middle(m)
-    g2 = len(mid_l)
-    wire = np.concatenate((w[:m], n + g1 + np.arange(g2, dtype=np.int64)))
-    mid_left, mid_right, z = wire[mid_l], wire[mid_r], wire[mid_o]
-    mid_level = (s - 1) + mid_lv
-    depth = s + (int(mid_lv.max()) if g2 else 0)
-
-    # layer 3: one level finalizing everything after block 0
-    mask3 = (cols >= s) & ((cols % s != s - 1) | (cols >= s * (b - 1)))
-    c3 = cols[mask3]
-    l3_left = z[c3 // s - 1]
-    l3_right = partial[c3]
-    l3_level = np.full(len(c3), depth, dtype=np.int64)
-    l3_ids = n + g1 + g2 + np.arange(len(c3), dtype=np.int64)
-
-    outs = np.empty(n, dtype=np.int64)
-    outs[: min(s, n)] = partial[: min(s, n)]
-    outs[np.arange(s - 1, s * (b - 1), s)] = z
-    outs[c3] = l3_ids
-
-    lefts = np.concatenate((l1_left, mid_left, l3_left))
-    rights = np.concatenate((l1_right, mid_right, l3_right))
-    levels = np.concatenate((l1_level, mid_level, l3_level))
+    pos = cols % s
+    partial = np.where(pos == 0, cols, n - 1 + cols - cols // s)
+    l1 = cols[pos != 0]  # layer 1: serial inside each block
+    totals = slice(s - 1, s * (b - 1), s)  # the full blocks' last columns
+    mid_l, mid_r, mid_lv, mid_o = middle(b - 1)  # layer 2, over the totals
+    g3 = 2 * n - b + len(mid_l)  # layer 3's first gate id
+    wire = np.concatenate((partial[totals], np.arange(2 * n - b, g3)))
+    z = wire[mid_o]
+    c3 = np.delete(cols[s:], slice(s - 1, s * (b - 2), s))  # layer 3's columns
+    outs = partial.copy()
+    outs[totals] = z
+    outs[c3] = np.arange(g3, g3 + len(c3))
+    lefts = np.concatenate((partial[l1 - 1], wire[mid_l], z[c3 // s - 1]))
+    rights = np.concatenate((l1, wire[mid_r], partial[c3]))
+    levels = np.concatenate((pos[pos != 0], s - 1 + mid_lv,
+                             np.full(len(c3), s + mid_lv.max(initial=0))))
     return lefts, rights, levels, outs
 
 

@@ -203,7 +203,7 @@ def build_adder(n: int, s: int) -> QuantumCircuit:
         nonlocal free, pool
         M = len(gq)
         # up: within-block generate chains (block 0's chain completes carries)
-        for k in range(1, s):
+        for k in range(1, min(s, M)):
             layers.append((TOFFOLI, f"L{t} chain {k}", gq[k - 1:M - 1:s], pq[k::s], gq[k::s]))
         if M <= s:
             return
@@ -312,10 +312,6 @@ def resources(circuit: QuantumCircuit) -> AdderResources:
     total = sum(len(qs) for qs in circuit.registers.values())
     ancillas = max(total - 2 * circuit.n, 0) if circuit.n else total
     return AdderResources(count, int(wd.max()) if nq else 0, ancillas)
-
-
-def toffoli_layer_count(circuit: QuantumCircuit) -> int:
-    return len({label for _, label, *_ in circuit.layers if label})
 
 
 # -- verification ---------------------------------------------------------------

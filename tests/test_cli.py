@@ -39,6 +39,7 @@ def run(capsys, *argv):
     ("adder verify -n 20 --trials 1", 0),
     ("adder verify -n 11 --exhaustive", 2),
     ("adder resources -n 0", 2),
+    ("adder resources -n 4 -s 1000000000", 0),  # one block: no loop over s
     ("adder build -n 4 -s 1", 2),
     ("generate kronecker -n 8 -s 1", 2),
     ("generate serial -n 0", 2),

@@ -232,6 +232,22 @@ class TestValidatePrefix:
         with pytest.raises(CircuitStructureError, match=rf"^{name}: expected integers"):
             PrefixCircuit.from_arrays(2, *arrays)
 
+    @pytest.mark.parametrize("n, arrays", [
+        (2.5, ([0], [1], [1], [0, 2])),  # would truncate to serial(2)
+        (True, ([], [], [], [0])),  # would read as serial(1)
+        (2.0, ([0], [1], [1], [0, 2])),
+        ("2", ([0], [1], [1], [0, 2])),
+        (np.True_, ([], [], [], [0])),
+    ], ids=["float", "bool", "integral-float", "str", "numpy-bool"])
+    def test_non_integer_n_rejected(self, n, arrays):
+        with pytest.raises(CircuitStructureError,
+                           match=f"^n: expected an integer, got {re.escape(repr(n))}$"):
+            PrefixCircuit.from_arrays(n, *arrays)
+
+    def test_numpy_integer_n_accepted(self):
+        c = PrefixCircuit.from_arrays(np.int64(2), [0], [1], [1], [0, 2])
+        assert c == pc.serial(2) and type(c.n) is int
+
     def test_empty_arrays_accepted(self):
         # numpy reads an empty list as float64; it holds no value to misread
         assert PrefixCircuit.from_arrays(1, [], [], [], [0]) == pc.serial(1)

@@ -1,10 +1,15 @@
 """The blocked zero-deficiency family, its depth recursion, and the DP."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import prefixcircuits as pc
+from prefixcircuits import kronecker
 from prefixcircuits.kronecker import LayerRecord
+
+import kronecker_reference
 
 
 class TestKroneckerCircuit:
@@ -49,6 +54,34 @@ class TestKroneckerCircuit:
                 assert pc.circuit_depth(n, s) == pc.metrics(
                     pc.kronecker_circuit(n, s)
                 ).depth, (n, s)
+
+
+class TestMatchesReference:
+    """Both members' arrays equal those of the rank-table builder they
+    replaced (tests/kronecker_reference.py), value for value and as int64."""
+
+    @pytest.fixture
+    def built_arrays(self, monkeypatch):
+        # the arrays each builder hands to from_arrays, before any cast
+        monkeypatch.setattr(kronecker, "PrefixCircuit",
+                            SimpleNamespace(from_arrays=lambda n, *arrays: arrays))
+
+    CASES = [(n, s) for s in range(2, 9) for n in range(1, 601)] + [
+        (s ** k + d, s) for s, top in ((2, 12), (3, 8)) for k in range(1, top + 1)
+        for d in (-1, 0, 1) if s ** k > 600]
+
+    @pytest.mark.parametrize("builder, reference", [
+        (pc.kronecker_circuit, kronecker_reference.chained_arrays),
+        (pc.reblocked_circuit, kronecker_reference.reblocked_arrays),
+    ], ids=["chained", "reblocked"])
+    def test_arrays_equal(self, built_arrays, builder, reference):
+        bad = []
+        for n, s in self.CASES:
+            got, want = builder(n, s), reference(n, s)
+            if not all(a.dtype == np.int64 and np.array_equal(a, b)
+                       for a, b in zip(got, want, strict=True)):
+                bad.append((n, s))
+        assert bad == []
 
 
 class TestKroneckerDepth:

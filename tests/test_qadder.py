@@ -250,7 +250,19 @@ class TestResources:
     def test_depth_at_most_label_count(self):
         for n, s in ((16, 2), (27, 3), (40, 4)):
             c = build_adder(n, s)
-            assert resources(c).toffoli_depth <= qadder.toffoli_layer_count(c)
+            labels = {label for _, label, *_ in c.layers if label}
+            assert resources(c).toffoli_depth <= len(labels)
+
+    def test_block_size_beyond_n(self):
+        # with s >= n there is one block: the layers do not depend on s,
+        # and the build does not loop over the s - 1 empty chain positions
+        for n in range(2, 11):
+            want = build_adder(n, n)
+            for s in (n + 1, 10 ** 9):
+                got = build_adder(n, s)
+                assert estimate_resources(n, s) == estimate_resources(n, n), (n, s)
+                assert [layer[1] for layer in got.layers] == [
+                    layer[1] for layer in want.layers], (n, s)
 
     def test_layer_overlap_detected(self):
         c = QuantumCircuit({"q": [0, 1, 2, 3]},
