@@ -25,7 +25,6 @@ from .kronecker import (
     DepthTable,
     KroneckerPlan,
     circuit_depth,
-    depth_ratio_report,
     edge_predicate,
     is_power_of,
     kronecker_circuit,
@@ -43,7 +42,6 @@ from .qadder import (
     build_adder,
     estimate_resources,
     netlist,
-    resource_report,
     resources,
     simulate,
     verify_adder,
@@ -68,7 +66,6 @@ __all__ = [
     "build_adder",
     "circuit_depth",
     "decomposition_check",
-    "depth_ratio_report",
     "edge_predicate",
     "estimate_resources",
     "evaluate",
@@ -91,7 +88,6 @@ __all__ = [
     "netlist",
     "prefix_via_kron",
     "reblocked_circuit",
-    "resource_report",
     "resources",
     "serial",
     "simulate",

@@ -21,13 +21,15 @@ import math
 
 import numpy as np
 
-from .core import PrefixCircuit
+from .core import PrefixCircuit, _as_int
 from .kronecker import _chain
 
 
-def _check_n(n: int):
+def _check_n(n: int) -> int:
+    n = _as_int("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
+    return n
 
 
 def _divide_and_conquer(n: int, k: int, left_k: int, fix_after: bool = False):
@@ -131,19 +133,19 @@ def _divide_and_conquer(n: int, k: int, left_k: int, fix_after: bool = False):
 
 def serial(n: int) -> PrefixCircuit:
     """Chain y(i) = y(i-1) o x(i); size n-1, depth n-1."""
-    _check_n(n)
+    n = _check_n(n)
     return PrefixCircuit.from_arrays(n, *_chain(n))
 
 
 def sklansky(n: int) -> PrefixCircuit:
     """Divide and conquer with a full fan-out merge; depth ceil(log2 n)."""
-    _check_n(n)
+    n = _check_n(n)
     return PrefixCircuit.from_arrays(n, *_divide_and_conquer(n, 0, 0))
 
 
 def kogge_stone(n: int) -> PrefixCircuit:
     """All prefixes via doubling strides; for n = 2^k: size nk - n + 1."""
-    _check_n(n)
+    n = _check_n(n)
     strides = [1 << j for j in range(max(n - 1, 0).bit_length())]
     size = n + sum(n - d for d in strides)
     lefts = np.empty(size, dtype=np.int64)
@@ -167,7 +169,7 @@ def brent_kung(n: int) -> PrefixCircuit:
     recursion, so for n = 2^k the declared depth is 2k - 1 and the size is
     2n - k - 2.
     """
-    _check_n(n)
+    n = _check_n(n)
     # k = n: every node pairs, down to a single column
     return PrefixCircuit.from_arrays(n, *_divide_and_conquer(n, n, 0, fix_after=True))
 
@@ -180,16 +182,10 @@ def ladner_fischer(n: int, k: int) -> PrefixCircuit:
     Brent-Kung step (pair, recurse at k - 1 on the pair sums, fix up even
     positions).  Levels are tight, so LF(8, 0) has depth 3.
     """
-    _check_n(n)
+    n = _check_n(n)
+    k = _as_int("k", k)
     kmax = math.ceil(math.log2(n)) if n > 1 else 0
     if not 0 <= k <= kmax:
         raise ValueError(f"k={k} out of range for n={n} (0 <= k <= {kmax})")
     return PrefixCircuit.from_arrays(n, *_divide_and_conquer(n, k, 1))
 
-
-GENERATORS = {
-    "serial": serial,
-    "sklansky": sklansky,
-    "kogge-stone": kogge_stone,
-    "brent-kung": brent_kung,
-}

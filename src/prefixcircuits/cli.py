@@ -1,5 +1,6 @@
 """Command-line interface: generate, analyze, compare, and verify circuits.
 
+The library returns values; every table, report and CSV is formatted here.
 Exit codes: 0 = all checks passed, 1 = a check failed or stdout was closed
 early, 2 = usage error.
 Measured values are always printed next to the closed-form expectations so
@@ -13,30 +14,25 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import classic, kronalg, kronecker, qadder
 from .core import _max_fanout, metrics, validate_prefix
 from .serialization import export_dot, export_json
 
 
-def _build_circuit(name: str, n: int, s: int, k: int):
-    if name == "kronecker":
-        return kronecker.kronecker_circuit(n, s)
-    if name == "ladner-fischer":
-        return classic.ladner_fischer(n, k)
-    gen = classic.GENERATORS.get(name)
-    if gen is None:
-        raise ValueError(f"unknown generator {name!r}")
-    return gen(n)
-
-
-GENERATOR_NAMES = ("serial", "sklansky", "kogge-stone", "brent-kung",
-                   "ladner-fischer", "kronecker")
+# name -> builder(n, s, k); s is the block size, k the Ladner-Fischer depth
+GENERATORS = {
+    "serial": lambda n, s, k: classic.serial(n),
+    "sklansky": lambda n, s, k: classic.sklansky(n),
+    "kogge-stone": lambda n, s, k: classic.kogge_stone(n),
+    "brent-kung": lambda n, s, k: classic.brent_kung(n),
+    "ladner-fischer": lambda n, s, k: classic.ladner_fischer(n, k),
+    "kronecker": lambda n, s, k: kronecker.kronecker_circuit(n, s),
+}
 
 
 def cmd_generate(args) -> int:
-    circuit = _build_circuit(args.generator, args.n, args.s, args.k)
+    circuit = GENERATORS[args.generator](args.n, args.s, args.k)
     if args.validate and not validate_prefix(circuit):
         print(f"error: generated circuit failed prefix validation", file=sys.stderr)
         return 1
@@ -59,15 +55,17 @@ def _emit(text: str, path) -> None:
 
 
 def _table_row(name: str, n: int, s: int, k: int):
-    c = _build_circuit(name, n, s, k)
+    if name not in GENERATORS:
+        raise ValueError(f"unknown generator {name!r}")
+    c = GENERATORS[name](n, s, k)
     m = metrics(c)
     return (name, n, m.size, m.depth, m.max_fanout,
             _max_fanout(c, count_outputs=True), m.deficiency, m.valid)
 
 
-def _formula_checks(name: str, n: int, s: int, row):
+def _formula_checks(row):
     """Yields (field, expected, measured) triples for the closed forms."""
-    _, _, size, depth, _, _, deficiency, valid = row
+    name, n, size, depth, _, _, deficiency, valid = row
     if not valid:
         yield ("valid", True, False)
     is_pow2 = n >= 2 and (n & (n - 1)) == 0
@@ -91,16 +89,9 @@ def _formula_checks(name: str, n: int, s: int, row):
 
 
 def cmd_table(args) -> int:
-    names = args.generators.split(",") if args.generators else list(GENERATOR_NAMES)
+    names = args.generators.split(",") if args.generators else list(GENERATORS)
     n_list = _parse_n_list(args.n_list)
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    work = [(name, n, args.s, args.k) for name in names for n in n_list]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_table_row, *zip(*work)))
-    else:
-        rows = [_table_row(*w) for w in work]
+    rows = [_table_row(name, n, args.s, args.k) for name in names for n in n_list]
     rows.sort(key=lambda r: (names.index(r[0]), r[1]))
 
     header = ("generator", "n", "size", "depth", "fanout",
@@ -120,51 +111,48 @@ def cmd_table(args) -> int:
 
     if not args.check_formulas:
         return 0
-    failures = []
+    failures = 0
     for row in rows:
-        name, n = row[0], row[1]
-        for field, expected, measured in _formula_checks(name, n, args.s, row):
+        for field, expected, measured in _formula_checks(row):
             tag = "ok" if expected == measured else "MISMATCH"
-            print(f"check {name} n={n} {field}: formula={expected} "
+            print(f"check {row[0]} n={row[1]} {field}: formula={expected} "
                   f"measured={measured} [{tag}]")
-            if expected != measured:
-                failures.append((name, n, field, expected, measured))
+            failures += expected != measured
     if failures:
-        print(f"{len(failures)} formula check(s) failed", file=sys.stderr)
+        print(f"{failures} formula check(s) failed", file=sys.stderr)
         return 1
     print("all formula checks passed")
     return 0
 
 
 def cmd_mindepth(args) -> int:
-    table = kronecker.min_depth_table(args.max_n)
-    sys.stdout.write(table.to_csv())
+    entries = kronecker.min_depth_table(args.max_n).entries
+    print("n,min_depth,best_s")
+    print("\n".join(f"{n},{d},{s}" for n, (d, s) in enumerate(entries[1:], 1)))
     return 0
 
 
 def cmd_adder(args) -> int:
-    if args.n < 1 or args.s < 2 or args.trials < 1:
-        raise ValueError("need n >= 1, s >= 2 and --trials >= 1")
     if args.action == "build":
         _emit(qadder.netlist(qadder.build_adder(args.n, args.s)), args.output)
         return 0
     if args.action == "resources":
-        rep = qadder.resource_report(args.n, args.s)
+        r = qadder.estimate_resources(args.n, args.s)
+        if args.json:
+            print(json.dumps({"n": args.n, "s": args.s, "toffoli_count": r.toffoli_count,
+                              "toffoli_depth": r.toffoli_depth,
+                              "ancillas": r.ancilla_count}, indent=1))
+            return 0
         # s*ceil(log_s n) + 2 in integers (3 at n = 1)
         depth_bound = kronecker.kronecker_depth_bound(args.n, args.s) + 3
-        if args.json:
-            print(json.dumps(rep, indent=1))
-        else:
-            print(f"n={rep['n']} s={rep['s']}")
-            print(f"toffoli_count: measured={rep['toffoli_count']} "
-                  f"(linear-bound 4n={4 * args.n})")
-            print(f"toffoli_depth: measured={rep['toffoli_depth']} "
-                  f"(bound s*ceil(log_s n)+2={depth_bound})")
-            print(f"ancillas: measured={rep['ancillas']}")
+        print(f"n={args.n} s={args.s}")
+        print(f"toffoli_count: measured={r.toffoli_count} (linear-bound 4n={4 * args.n})")
+        print(f"toffoli_depth: measured={r.toffoli_depth} (bound s*ceil(log_s n)+2={depth_bound})")
+        print(f"ancillas: measured={r.ancilla_count}")
         return 0
     # action == "verify" (argparse restricts the choices)
-    if args.exhaustive and args.n > 10:
-        raise ValueError("exhaustive verification is limited to n <= 10")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     report = qadder.verify_adder(args.n, args.s, trials=args.trials,
                                  seed=args.seed)
     mode = "exhaustive" if report.exhaustive else f"{report.cases} random pairs"
@@ -183,11 +171,9 @@ def cmd_check_kron(args) -> int:
     if args.max_dim < 2:
         raise ValueError(f"--max-dim must be >= 2 (the grid [2,max_dim]^2 "
                          f"is empty at {args.max_dim})")
-    failures = []
-    for n1 in range(2, args.max_dim + 1):
-        for n2 in range(2, args.max_dim + 1):
-            if not kronalg.decomposition_check(n1, n2):
-                failures.append((n1, n2))
+    dims = range(2, args.max_dim + 1)
+    failures = [(n1, n2) for n1 in dims for n2 in dims
+                if not kronalg.decomposition_check(n1, n2)]
     total = (args.max_dim - 1) ** 2
     if failures:
         print(f"FAIL: {len(failures)}/{total} pairs failed: {failures[:10]}")
@@ -201,11 +187,11 @@ def cmd_ratio(args) -> int:
     n_list = _parse_n_list(args.n_list)
     if min(n_list) < 2:
         raise ValueError("ratio needs every n >= 2 (log2(1) = 0)")
-    rows = kronecker.depth_ratio_report(n_list, args.s)
+    rows = [(n, kronecker.kronecker_depth(n, args.s), kronecker.circuit_depth(n, args.s))
+            for n in n_list]
     print("n,recursion_depth,depth/log2(n),built_depth")
-    for n, d, ratio in rows:
-        built = kronecker.circuit_depth(n, args.s)
-        print(f"{n},{d},{ratio:.4f},{built}")
+    for n, d, built in rows:
+        print(f"{n},{d},{d / math.log2(n):.4f},{built}")
     return 0
 
 
@@ -246,7 +232,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="emit one circuit as JSON or DOT")
-    g.add_argument("generator", choices=GENERATOR_NAMES)
+    g.add_argument("generator", choices=GENERATORS)
     g.add_argument("-n", type=int, required=True)
     g.add_argument("-s", type=int, default=2, help="block size (kronecker)")
     g.add_argument("-k", type=int, default=0, help="depth parameter (ladner-fischer)")
@@ -266,7 +252,6 @@ def make_parser() -> argparse.ArgumentParser:
     fmt = t.add_mutually_exclusive_group()
     fmt.add_argument("--csv", action="store_true")
     fmt.add_argument("--json", action="store_true")
-    t.add_argument("--jobs", type=int, default=1)
     t.set_defaults(func=cmd_table)
 
     m = sub.add_parser("mindepth", help="minimum-depth table as CSV")
@@ -279,7 +264,6 @@ def make_parser() -> argparse.ArgumentParser:
     a.add_argument("-s", type=int, default=2)
     a.add_argument("--trials", type=int, default=10000)
     a.add_argument("--seed", type=int, default=0)
-    a.add_argument("--exhaustive", action="store_true")
     a.add_argument("--json", action="store_true")
     a.add_argument("-o", "--output")
     a.set_defaults(func=cmd_adder)

@@ -18,6 +18,8 @@ declared level.
 
 from __future__ import annotations
 
+import operator
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -31,6 +33,14 @@ class CircuitMetrics:
     max_fanout: int
     deficiency: int  # size + depth - (2n - 2); zero meets the lower bound
     valid: bool
+
+
+def _as_int(name: str, x, error=ValueError) -> int:
+    """x as a plain int; `error` naming `name` for a bool or a non-integer."""
+    if not isinstance(x, bool):
+        with suppress(TypeError):
+            return operator.index(x)  # numpy integers too, but not numpy bools
+    raise error(f"{name}: expected an integer, got {x!r}")
 
 
 class CircuitStructureError(ValueError):
@@ -49,12 +59,11 @@ class PrefixCircuit:
         Raises CircuitStructureError for a malformed circuit, including a
         non-1-D array, unequal lengths, or an n or values that are not integers.
         """
-        if isinstance(n, bool) or not hasattr(n, "__index__"):
-            raise CircuitStructureError(f"n: expected an integer, got {n!r}")
+        n = _as_int("n", n, CircuitStructureError)
         if n < 1:
             raise CircuitStructureError("circuit needs at least one input")
         self = object.__new__(cls)
-        object.__setattr__(self, "n", n.__index__())
+        object.__setattr__(self, "n", n)
         for name, a in (("lefts", lefts), ("rights", rights), ("levels", levels),
                         ("outs", outs)):
             a = np.asarray(a)
@@ -271,7 +280,7 @@ def fib_depth_lower_bound(n: int) -> int:
     tight at small sizes (n=2 -> 1, n=4 -> 2, consistent with the depth-2
     four-input circuit that meets the size+depth lower bound).
     """
-    if n < 1:
+    if _as_int("n", n) < 1:
         raise ValueError("n must be >= 1")
     target = n + 1
     a, b = 0, 1  # F(0), F(1)

@@ -21,26 +21,23 @@ from __future__ import annotations
 
 import numpy as np
 
-_KINDS = ("L", "U", "Lminus", "Uminus", "I", "Ones")
+_MATRICES = {  # kind -> constructor of the n x n matrix
+    "L": lambda n: np.tril(np.ones((n, n), dtype=np.int64)),
+    "U": lambda n: np.triu(np.ones((n, n), dtype=np.int64)),
+    "Lminus": lambda n: np.tril(np.ones((n, n), dtype=np.int64), -1),
+    "Uminus": lambda n: np.triu(np.ones((n, n), dtype=np.int64), 1),
+    "I": lambda n: np.eye(n, dtype=np.int64),
+    "Ones": lambda n: np.ones((n, n), dtype=np.int64),
+}
 
 
 def build(kind: str, n: int) -> np.ndarray:
     """Triangular all-ones / identity / all-ones matrix constructors."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if kind == "L":
-        return np.tril(np.ones((n, n), dtype=np.int64))
-    if kind == "U":
-        return np.triu(np.ones((n, n), dtype=np.int64))
-    if kind == "Lminus":
-        return np.tril(np.ones((n, n), dtype=np.int64), -1)
-    if kind == "Uminus":
-        return np.triu(np.ones((n, n), dtype=np.int64), 1)
-    if kind == "I":
-        return np.eye(n, dtype=np.int64)
-    if kind == "Ones":
-        return np.ones((n, n), dtype=np.int64)
-    raise ValueError(f"unknown kind {kind!r}; expected one of {_KINDS}")
+    if kind not in _MATRICES:
+        raise ValueError(f"unknown kind {kind!r}; expected one of {tuple(_MATRICES)}")
+    return _MATRICES[kind](n)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -50,17 +50,17 @@ middle size m); beyond that its depth exceeds the recursion value.
 
 No depth is memoized: :func:`circuit_depth` is a closed form, and
 :func:`kronecker_depth` and :func:`kronecker_plan` are loops over the size
-map n -> ceil(n/s) - 1; the module holds no process-wide state.
+map n -> ceil(n/s) - 1; the module holds no process-wide state.  A non-
+integer n or s raises a ValueError naming it; the CLI formats the results.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PrefixCircuit
+from .core import PrefixCircuit, _as_int
 
 
 def is_power_of(n: int, s: int) -> bool:
@@ -72,11 +72,15 @@ def is_power_of(n: int, s: int) -> bool:
     return n == 1
 
 
-def _check_params(n: int, s: int):
+def _check_params(n: int, s: int) -> tuple:
+    """(n, s) as plain ints; ValueError unless they are integers, n >= 1, s >= 2."""
+    if type(n) is not int or type(s) is not int:
+        n, s = _as_int("n", n), _as_int("s", s)
     if n < 1:
         raise ValueError("n must be >= 1")
     if s < 2:
         raise ValueError("block size s must be >= 2")
+    return n, s
 
 
 def kronecker_circuit(n: int, s: int) -> PrefixCircuit:
@@ -85,7 +89,7 @@ def kronecker_circuit(n: int, s: int) -> PrefixCircuit:
     Layer 2 is the serial chain, which keeps every wire's fan-out within s;
     :func:`reblocked_circuit` trades that for depth kronecker_depth(n, s).
     """
-    _check_params(n, s)
+    n, s = _check_params(n, s)
     return PrefixCircuit.from_arrays(n, *_build_arrays(n, s))
 
 
@@ -97,7 +101,7 @@ def reblocked_circuit(n: int, s: int) -> PrefixCircuit:
     fan-out claim, an inference: ``PAPER.md`` holds only the abstract);
     its global fan-out exceeds s once the recursion nests (3 at (11, 2)).
     """
-    _check_params(n, s)
+    n, s = _check_params(n, s)
 
     def middle(m):
         return _build_arrays(m, s, middle)
@@ -148,7 +152,7 @@ def _build_arrays(n: int, s: int, middle=_chain):
 
 def circuit_depth(n: int, s: int) -> int:
     """Depth of the circuit :func:`kronecker_circuit` builds, in closed form."""
-    _check_params(n, s)
+    n, s = _check_params(n, s)
     if n <= s:
         return n - 1
     # a power of s is the build for n - 1 (same ceil(n/s)) plus one level
@@ -167,7 +171,8 @@ def kronecker_depth(n: int, s: int) -> int:
     to the same chain (``kronecker_depth(ceil(n/s)-1, s) == ceil(n/s) - 2``);
     see the module docstring for why that builder chains the middle layer.
     """
-    _check_params(n, s)
+    if type(n) is not int or type(s) is not int or n < 1 or s < 2:  # hot: no call
+        n, s = _check_params(n, s)
     depth = 0
     while n > s:
         # the inline n % s test skips a call for most n (about a tenth of
@@ -183,7 +188,7 @@ def kronecker_depth(n: int, s: int) -> int:
 
 def kronecker_depth_bound(n: int, s: int) -> int:
     """The closed-form cap s * ceil(log_s n) - 1 on kronecker_depth."""
-    _check_params(n, s)
+    n, s = _check_params(n, s)
     if n == 1:
         return 0
     k = 1
@@ -222,7 +227,7 @@ def kronecker_plan(n: int, s: int) -> KroneckerPlan:
     + (s - 1) + 1 == 2n - 2, the arithmetic that makes the construction
     zero-deficiency level by level.
     """
-    _check_params(n, s)
+    n, s = _check_params(n, s)
     records = []
     fix = False
     v = n
@@ -285,7 +290,7 @@ def edge_predicate(n: int, s: int, level: int, src_node: int, dst_node: int) -> 
 
     O(log n) arithmetic on kronecker_circuit(n, s); agrees with level_edges.
     """
-    _check_params(n, s)
+    n, s = _check_params(n, s)
     cols, left = _level_gates(n, s, level)
     if dst_node not in cols:
         return False
@@ -295,7 +300,7 @@ def edge_predicate(n: int, s: int, level: int, src_node: int, dst_node: int) -> 
 
 def level_edges(n: int, s: int, level: int) -> list:
     """All grid edges (src, dst) from `level` into gates at level + 1."""
-    _check_params(n, s)
+    n, s = _check_params(n, s)
     cols, left = _level_gates(n, s, level)
     edges = []
     for c in cols:
@@ -312,21 +317,10 @@ def level_edges(n: int, s: int, level: int) -> list:
 class DepthTable:
     """Per-n minimum of kronecker_depth over the block size s."""
 
-    max_n: int
-    entries: tuple  # entries[n] = (min_depth, best_s); entries[0] is None
+    entries: tuple  # entries[n] = (min_depth, best_s) for n >= 1; entries[0] is None
 
     def min_depth(self, n: int) -> int:
         return self.entries[n][0]
-
-    def best_s(self, n: int) -> int:
-        return self.entries[n][1]
-
-    def to_csv(self) -> str:
-        lines = ["n,min_depth,best_s"]
-        for n in range(1, self.max_n + 1):
-            d, s = self.entries[n]
-            lines.append(f"{n},{d},{s}")
-        return "\n".join(lines) + "\n"
 
 
 def min_depth_table(max_n: int) -> DepthTable:
@@ -336,6 +330,7 @@ def min_depth_table(max_n: int) -> DepthTable:
     kronecker_depth(n, s) >= s for n > s, so the scan stops once s reaches
     the best depth found.
     """
+    max_n = _as_int("max_n", max_n)
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     entries = [None, (0, 2)]
@@ -348,14 +343,4 @@ def min_depth_table(max_n: int) -> DepthTable:
             if d < best[0]:
                 best = (d, s)
         entries.append(best)
-    return DepthTable(max_n, tuple(entries))
-
-
-def depth_ratio_report(n_list, s: int) -> list:
-    """Rows (n, kronecker_depth(n, s), depth / log2(n)) for the CLI table."""
-    rows = []
-    for n in n_list:
-        d = kronecker_depth(n, s)
-        ratio = d / math.log2(n) if n > 1 else float("nan")
-        rows.append((n, d, ratio))
-    return rows
+    return DepthTable(tuple(entries))

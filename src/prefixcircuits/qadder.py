@@ -23,6 +23,7 @@ made from :class:`Gate` tuples is split into layers in gate order, and
 ``.gates`` makes the tuples again from the layers; it is never stored.
 :func:`resources`, :func:`netlist` and the simulator take a whole layer at a
 time, so :func:`estimate_resources` is ``resources(build_adder(n, s))``.
+n and s are checked as in :mod:`.kronecker`; the CLI formats the results.
 
 CNOT fan-out copies and the XOR layers carry no Toffoli layer label and do
 not count toward Toffoli depth; depth is measured as the longest chain of
@@ -40,6 +41,8 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
+
+from .kronecker import _check_params
 
 NOT = "NOT"
 CNOT = "CNOT"
@@ -188,10 +191,7 @@ def build_adder(n: int, s: int) -> QuantumCircuit:
     ``p{t}`` in recursion order, then the copy pool z that every level
     reuses.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if s < 2:
-        raise ValueError("block size s must be >= 2")
+    n, s = _check_params(n, s)
     a = np.arange(n)
     b, g = a + n, a + 2 * n
     registers = {"a": range(n), "b": range(n, 2 * n), "g": range(2 * n, 3 * n)}
@@ -266,22 +266,13 @@ def estimate_resources(n: int, s: int) -> AdderResources:
 def simulate(circuit: QuantumCircuit, initial) -> list:
     """Apply the gates classically over {0,1}; returns the final assignment.
 
-    `initial` is a sequence assigning every qubit (index = qubit id) or a
-    dict mapping qubit ids to bits.  A gate on a qubit outside
-    0..n_qubits-1, negative ids included, or of an unknown kind raises
-    ValueError.
+    `initial` is a sequence assigning every qubit (index = qubit id); a
+    length other than n_qubits raises ValueError, as does a gate on a qubit
+    outside 0..n_qubits-1, negative ids included, or of an unknown kind.
     """
-    nq = circuit.n_qubits
-    if isinstance(initial, dict):
-        missing = [q for q in range(nq) if q not in initial]
-        if missing:
-            raise ValueError(f"unassigned qubits: {missing[:5]}")
-        state = [int(initial[q]) & 1 for q in range(nq)]
-    else:
-        if len(initial) != nq:
-            raise ValueError(f"expected {nq} qubit values, got {len(initial)}")
-        state = [int(v) & 1 for v in initial]
-    return _batch_run(circuit.layers, state, 1)
+    if len(initial) != circuit.n_qubits:
+        raise ValueError(f"expected {circuit.n_qubits} qubit values, got {len(initial)}")
+    return _batch_run(circuit.layers, [int(v) & 1 for v in initial], 1)
 
 
 def resources(circuit: QuantumCircuit) -> AdderResources:
@@ -460,13 +451,3 @@ def netlist(circuit: QuantumCircuit) -> str:
                      for kind, _, *qs in run)
     return "".join(parts) or "\n"
 
-
-def resource_report(n: int, s: int) -> dict:
-    r = estimate_resources(n, s)
-    return {
-        "n": n,
-        "s": s,
-        "toffoli_count": r.toffoli_count,
-        "toffoli_depth": r.toffoli_depth,
-        "ancillas": r.ancilla_count,
-    }

@@ -20,7 +20,6 @@ belongs, are reported with the path to the offending field.
 from __future__ import annotations
 
 import json
-import re
 from itertools import groupby
 from operator import itemgetter
 
@@ -155,16 +154,10 @@ def import_json(text: str) -> PrefixCircuit:
         raise SchemaError(f"$.gates: {e}") from e
 
 
-def export_dot(circuit: PrefixCircuit, name: str = "prefix") -> str:
-    """Graphviz text: inputs as sources, gates rank-grouped by level.
-
-    Raises ValueError unless `name` is a plain DOT identifier.
-    """
-    if (not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name)
-            or name.lower() in ("graph", "digraph", "subgraph", "node", "edge", "strict")):
-        raise ValueError(f"graph name {name!r} is not a plain DOT identifier")
+def export_dot(circuit: PrefixCircuit) -> str:
+    """Graphviz text of ``digraph prefix``: inputs as sources, gates ranked by level."""
     n, G = circuit.n, circuit.size
-    lines = [f"digraph {name} {{", "  rankdir=TB;", "  node [fontsize=10];", "  { rank=source;"]
+    lines = ["digraph prefix {", "  rankdir=TB;", "  node [fontsize=10];", "  { rank=source;"]
     lines += [f'    x{i} [shape=box, label="x{i}"];' for i in range(n)]
     lines.append("  }")
     order = np.argsort(circuit._levels, kind="stable").tolist()

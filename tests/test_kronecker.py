@@ -1,5 +1,6 @@
 """The blocked zero-deficiency family, its depth recursion, and the DP."""
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -320,29 +321,53 @@ class TestMinDepthTable:
         vals = [t.min_depth(n) for n in range(1, 10_001)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
-    def test_csv_shape(self):
-        lines = pc.min_depth_table(5).to_csv().strip().splitlines()
-        assert lines[0] == "n,min_depth,best_s"
-        assert len(lines) == 6
-        assert lines[1] == "1,0,2"
+
+# every public builder and depth function, by the integer parameters it takes
+INTEGER_PARAMS = {
+    "serial": (pc.serial, (8,)),
+    "sklansky": (pc.sklansky, (8,)),
+    "kogge_stone": (pc.kogge_stone, (8,)),
+    "brent_kung": (pc.brent_kung, (8,)),
+    "ladner_fischer": (pc.ladner_fischer, (8, 1)),
+    "kronecker_circuit": (pc.kronecker_circuit, (8, 2)),
+    "reblocked_circuit": (pc.reblocked_circuit, (9, 3)),
+    "circuit_depth": (pc.circuit_depth, (8, 2)),
+    "kronecker_depth": (pc.kronecker_depth, (8, 2)),
+    "kronecker_depth_bound": (pc.kronecker_depth_bound, (8, 2)),
+    "kronecker_plan": (pc.kronecker_plan, (27, 3)),
+    "min_depth_table": (pc.min_depth_table, (8,)),
+    "fib_depth_lower_bound": (pc.fib_depth_lower_bound, (8,)),
+    "build_adder": (pc.build_adder, (8, 2)),
+    "estimate_resources": (pc.estimate_resources, (8, 2)),
+}
 
 
-class TestDepthRatio:
-    def test_n2(self):
-        rows = pc.depth_ratio_report([2], 2)
-        assert rows[0][1] == 1
+class TestIntegerParams:
+    @pytest.mark.parametrize("name", sorted(INTEGER_PARAMS))
+    @pytest.mark.parametrize("bad", [2.0, 2.5, True, "3"])
+    def test_non_integer_rejected(self, name, bad):
+        fn, args = INTEGER_PARAMS[name]
+        for i in range(len(args)):
+            with pytest.raises(ValueError, match=r"^(n|s|k|max_n): expected an integer"):
+                fn(*args[:i], bad, *args[i + 1:])
 
-    def test_s2_at_1024(self):
-        (_, _, ratio), = pc.depth_ratio_report([1024], 2)
-        assert 1.9 <= ratio <= 2.1
+    @pytest.mark.parametrize("name", sorted(INTEGER_PARAMS))
+    def test_numpy_integers_give_plain_ints(self, name):
+        fn, args = INTEGER_PARAMS[name]
+        got, want = fn(*map(np.int64, args)), fn(*args)
+        if isinstance(got, pc.QuantumCircuit):
+            assert pc.netlist(got) == pc.netlist(want)
+            got = SimpleNamespace(n=got.n, s=got.s, n_qubits=got.n_qubits)
+        else:
+            assert got == want
+            if isinstance(got, pc.PrefixCircuit):
+                got = SimpleNamespace(n=got.n)
+        values = [got] if isinstance(got, int) else list(vars(got).values())
+        assert not any(isinstance(v, np.integer) for v in values), values
 
-    def test_s3_below_two_and_approaching(self):
-        # ratio climbs toward 3/log2(3) ~ 1.8928 from below as n grows
-        ratios = [r for _, _, r in pc.depth_ratio_report(
-            [3 ** k for k in range(3, 9)], 3)]
-        assert all(r < 2 for r in ratios)
-        assert ratios == sorted(ratios)
-        assert ratios[-1] > 1.75
+    def test_resources_serialize(self):
+        r = pc.estimate_resources(np.int64(8), np.int64(2))
+        assert json.dumps(vars(r)) == json.dumps(vars(pc.estimate_resources(8, 2)))
 
 
 def test_mutation_sensitivity_spot():

@@ -54,10 +54,11 @@ class TestGateSemantics:
                                            Gate(CNOT, (0, 1), None)])
         assert simulate(c, [0, 0]) == [1, 1]
 
-    def test_unassigned_qubit_rejected(self):
+    def test_wrong_length_rejected(self):
         c = QuantumCircuit({"q": [0, 1]}, [Gate(CNOT, (0, 1), None)])
-        with pytest.raises(ValueError):
-            simulate(c, {0: 1})
+        for initial in ([1], [1, 0, 0]):
+            with pytest.raises(ValueError, match=r"^expected 2 qubit values, got \d$"):
+                simulate(c, initial)
 
 
 class TestAdderSmall:
