@@ -23,14 +23,11 @@ from .kronalg import (
 )
 from .kronecker import (
     DepthTable,
-    KroneckerPlan,
     circuit_depth,
     edge_predicate,
-    is_power_of,
     kronecker_circuit,
     kronecker_depth,
     kronecker_depth_bound,
-    kronecker_plan,
     level_edges,
     min_depth_table,
     reblocked_circuit,
@@ -56,7 +53,6 @@ __all__ = [
     "CircuitMetrics",
     "CircuitStructureError",
     "DepthTable",
-    "KroneckerPlan",
     "PrefixCircuit",
     "QuantumCircuit",
     "SchemaError",
@@ -73,13 +69,11 @@ __all__ = [
     "export_json",
     "fib_depth_lower_bound",
     "import_json",
-    "is_power_of",
     "kogge_stone",
     "kron",
     "kronecker_circuit",
     "kronecker_depth",
     "kronecker_depth_bound",
-    "kronecker_plan",
     "ladner_fischer",
     "level_edges",
     "mat_s",

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import _as_int
+
 _MATRICES = {  # kind -> constructor of the n x n matrix
     "L": lambda n: np.tril(np.ones((n, n), dtype=np.int64)),
     "U": lambda n: np.triu(np.ones((n, n), dtype=np.int64)),
@@ -33,7 +35,7 @@ _MATRICES = {  # kind -> constructor of the n x n matrix
 
 def build(kind: str, n: int) -> np.ndarray:
     """Triangular all-ones / identity / all-ones matrix constructors."""
-    if n < 1:
+    if _as_int("n", n) < 1:
         raise ValueError("n must be >= 1")
     if kind not in _MATRICES:
         raise ValueError(f"unknown kind {kind!r}; expected one of {tuple(_MATRICES)}")
@@ -55,7 +57,7 @@ def decomposition_check(n1: int, n2: int) -> bool:
     3. U_n == U_n1 (x) U_n2 + Uminus_n1 (x) Lminus_n2
     4. U_n == U_n1 (x) Ones_n2 - I_n1 (x) Lminus_n2
     """
-    if n1 < 2 or n2 < 2:
+    if _as_int("n1", n1) < 2 or _as_int("n2", n2) < 2:
         raise ValueError("decomposition requires n1, n2 >= 2")
     n = n1 * n2
     L, U = build("L", n), build("U", n)
@@ -80,7 +82,7 @@ def mat_s(x, s: int) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.int64)
     n = len(x)
-    if not 1 < s < n:
+    if not 1 < _as_int("s", s) < n:
         raise ValueError(f"need 1 < s < n, got s={s}, n={n}")
     cols = -(-n // s)
     padded = np.zeros(s * cols, dtype=np.int64)
@@ -103,7 +105,7 @@ def prefix_via_kron(x, n1: int, n2: int) -> np.ndarray:
     serial fold.
     """
     x = np.asarray(x, dtype=np.int64)
-    if n1 * n2 != len(x):
+    if _as_int("n1", n1) * _as_int("n2", n2) != len(x):
         raise ValueError(f"n1*n2 = {n1 * n2} != len(x) = {len(x)}")
     X = x.reshape(n1, n2).T  # mat_{n2}(x): columns are the blocks
     term1 = np.cumsum(X, axis=0, dtype=np.int64)  # L_{n2} @ X

@@ -15,7 +15,12 @@ Construction (for block size s >= 2):
 When n is an exact power of s, the circuit is built for n-1 and one final
 gate attaches the last input, which caps the fan-out of the last boundary
 wire at s.  The result is zero-deficiency (size + depth = 2n - 2) with
-maximum fan-out <= s, for every n >= 2 and s >= 2.
+maximum fan-out <= s, for every n >= 2 and s >= 2.  It holds level by
+level of the recursion: layer 1 has n - b gates on s - 1 levels, layer 3
+has n - s - b + 2 gates on one, and a zero-deficiency middle on b - 1
+inputs has size + depth 2b - 4, so the level totals (n - b) + (n - s - b + 2)
++ (2b - 4) + (s - 1) + 1 = 2n - 2; a power of s adds one gate and one level
+to the n - 1 build's 2(n - 1) - 2.
 
 Every wire id is a closed form in the column c (gate g is wire n + g).
 Layer 1's gate in column c, for c mod s != 0, is wire ``n - 1 + c - c//s``;
@@ -48,10 +53,10 @@ the recursion value exactly while the chain in layer 2 is no longer than a
 serial base case would be (``kronecker_depth(m, s) == m - 1`` for the
 middle size m); beyond that its depth exceeds the recursion value.
 
-No depth is memoized: :func:`circuit_depth` is a closed form, and
-:func:`kronecker_depth` and :func:`kronecker_plan` are loops over the size
-map n -> ceil(n/s) - 1; the module holds no process-wide state.  A non-
-integer n or s raises a ValueError naming it; the CLI formats the results.
+No depth is memoized: :func:`circuit_depth` is a closed form and
+:func:`kronecker_depth` is one loop over the size map n -> ceil(n/s) - 1;
+the module holds no process-wide state.  A non-integer parameter raises a
+ValueError naming it; the CLI formats the results.
 """
 
 from __future__ import annotations
@@ -63,10 +68,8 @@ import numpy as np
 from .core import PrefixCircuit, _as_int
 
 
-def is_power_of(n: int, s: int) -> bool:
-    """True iff n = s**k for some k >= 1."""
-    if n < s:
-        return False
+def _is_power_of(n: int, s: int) -> bool:
+    """True iff n = s**k for some k >= 1; callers pass n > s >= 2."""
     while n % s == 0:
         n //= s
     return n == 1
@@ -123,7 +126,7 @@ def _build_arrays(n: int, s: int, middle=_chain):
     """
     if n <= s:
         return _chain(n)
-    if is_power_of(n, s):  # the build for n - 1, gates one wire up, + 1 gate
+    if _is_power_of(n, s):  # the build for n - 1, gates one wire up, + 1 gate
         lefts, rights, levels, outs = _build_arrays(n - 1, s, middle)
         lefts, rights, outs = (a + (a >= n - 1) for a in (lefts, rights, outs))
         return (np.append(lefts, outs[-1]), np.append(rights, n - 1),
@@ -156,7 +159,7 @@ def circuit_depth(n: int, s: int) -> int:
     if n <= s:
         return n - 1
     # a power of s is the build for n - 1 (same ceil(n/s)) plus one level
-    return is_power_of(n, s) + s + -(-n // s) - 2
+    return _is_power_of(n, s) + s + -(-n // s) - 2
 
 
 def kronecker_depth(n: int, s: int) -> int:
@@ -176,8 +179,8 @@ def kronecker_depth(n: int, s: int) -> int:
     depth = 0
     while n > s:
         # the inline n % s test skips a call for most n (about a tenth of
-        # criterion 4's 1.5M-call sweep); is_power_of makes the same test
-        if n % s == 0 and is_power_of(n, s):
+        # criterion 4's 1.5M-call sweep); _is_power_of makes the same test
+        if n % s == 0 and _is_power_of(n, s):
             depth += 1
             n -= 1
         else:
@@ -197,49 +200,6 @@ def kronecker_depth_bound(n: int, s: int) -> int:
         p *= s
         k += 1
     return s * k - 1
-
-
-@dataclass(frozen=True)
-class LayerRecord:
-    """Arithmetic of one level of the re-blocked recursion."""
-
-    n: int
-    block_count: int  # ceil(n/s)
-    recursive_n: int  # ceil(n/s) - 1
-    layer1_size: int  # n - ceil(n/s)
-    layer3_size: int  # n - s - ceil(n/s) + 2
-
-
-@dataclass(frozen=True)
-class KroneckerPlan:
-    n: int
-    s: int
-    layer_boundaries: tuple
-    power_fix_applied: bool
-
-
-def kronecker_plan(n: int, s: int) -> KroneckerPlan:
-    """Level-by-level size accounting of the re-blocked recursion.
-
-    One record per blocked level: n and the records' ``recursive_n`` are
-    the iterates of h(v) = ceil(v/s) - 1 (a power of s is built on v - 1,
-    which has the same h).  Each record satisfies layer1 + layer3 + (2 * block_count - 4)
-    + (s - 1) + 1 == 2n - 2, the arithmetic that makes the construction
-    zero-deficiency level by level.
-    """
-    n, s = _check_params(n, s)
-    records = []
-    fix = False
-    v = n
-    while v > s:
-        if is_power_of(v, s):
-            fix = True
-            v -= 1
-            continue
-        b = -(-v // s)
-        records.append(LayerRecord(v, b, b - 1, v - b, v - s - b + 2))
-        v = b - 1
-    return KroneckerPlan(n, s, tuple(records), fix)
 
 
 # -- arithmetic edge predicate ------------------------------------------------
@@ -268,7 +228,7 @@ def _level_gates(n: int, s: int, level: int):
     if n <= s:  # the serial chain, depth n - 1
         return (range(lv, lv + 1) if lv < n else range(0)), lambda c: c - 1
     D = s + -(-n // s) - 2
-    if is_power_of(n, s):  # the build for n - 1 (depth D), then one gate
+    if _is_power_of(n, s):  # the build for n - 1 (depth D), then one gate
         if lv <= D:
             return _level_gates(n - 1, s, level)
         return (range(n - 1, n) if lv == D + 1 else range(0)), lambda c: c - 1
@@ -290,7 +250,11 @@ def edge_predicate(n: int, s: int, level: int, src_node: int, dst_node: int) -> 
 
     O(log n) arithmetic on kronecker_circuit(n, s); agrees with level_edges.
     """
-    n, s = _check_params(n, s)
+    if not (type(n) is type(s) is type(level) is type(src_node) is type(dst_node)
+            is int and n >= 1 and s >= 2):  # hot: no call for plain ints
+        n, s = _check_params(n, s)
+        level, src_node, dst_node = (_as_int(name, x) for name, x in (
+            ("level", level), ("src_node", src_node), ("dst_node", dst_node)))
     cols, left = _level_gates(n, s, level)
     if dst_node not in cols:
         return False
@@ -300,7 +264,7 @@ def edge_predicate(n: int, s: int, level: int, src_node: int, dst_node: int) -> 
 
 def level_edges(n: int, s: int, level: int) -> list:
     """All grid edges (src, dst) from `level` into gates at level + 1."""
-    n, s = _check_params(n, s)
+    n, s, level = *_check_params(n, s), _as_int("level", level)
     cols, left = _level_gates(n, s, level)
     edges = []
     for c in cols:

@@ -9,7 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from prefixcircuits.kronecker import _chain, is_power_of
+from prefixcircuits.kronecker import _chain
+
+
+def is_power(n: int, s: int) -> bool:
+    """True iff n = s**k for some k >= 1, by multiplying up from s."""
+    p = s
+    while p < n:
+        p *= s
+    return p == n
 
 
 def chained_arrays(n: int, s: int):
@@ -48,7 +56,7 @@ def _build_arrays(n: int, s: int, middle=_chain):
     """Arrays of the blocked circuit; `middle(m)` gives the arrays of layer 2."""
     if n <= s:
         return _chain(n)
-    if is_power_of(n, s):
+    if is_power(n, s):
         return _attach_last_input(n, _build_arrays(n - 1, s, middle))
 
     b = -(-n // s)

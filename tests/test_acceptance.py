@@ -34,8 +34,8 @@ import pytest
 
 import prefixcircuits as pc
 from prefixcircuits import qadder
-from prefixcircuits.kronecker import is_power_of
 
+from kronecker_reference import is_power
 import qadder_reference
 
 
@@ -189,7 +189,7 @@ def test_criterion_6_fibonacci_consistency():
 def kd_brute(n, s):
     if n <= s:
         return n - 1
-    if is_power_of(n, s):
+    if is_power(n, s):
         return 1 + kd_brute(n - 1, s)
     return s + kd_brute(-(-n // s) - 1, s)
 

@@ -1,5 +1,6 @@
 """The blocked zero-deficiency family, its depth recursion, and the DP."""
 
+import inspect
 import json
 from types import SimpleNamespace
 
@@ -8,7 +9,6 @@ import pytest
 
 import prefixcircuits as pc
 from prefixcircuits import kronecker
-from prefixcircuits.kronecker import LayerRecord
 
 import kronecker_reference
 
@@ -109,13 +109,27 @@ class TestKroneckerDepth:
         for s in (2, 3, 4):
             for n in range(1, 300):
                 kd, cd = pc.kronecker_depth(n, s), pc.circuit_depth(n, s)
-                if n <= s or pc.is_power_of(n, s):
+                if n <= s or kronecker_reference.is_power(n, s):
                     continue
                 m = -(-n // s) - 1
                 if pc.kronecker_depth(m, s) == m - 1:
                     assert kd == cd, (n, s)
                 else:
                     assert kd < cd, (n, s)
+
+    def test_depth_from_size_map(self):
+        # s levels per step of h(v) = ceil(v/s) - 1 down to the serial base,
+        # which adds v - 1, and one level more if an iterate is a power of s
+        # (built on v - 1, which has the same h; every later iterate is
+        # s**j - 1, so at most one is)
+        cases = [(n, s) for s in range(2, 13) for n in range(1, 5001)]
+        cases += [(3 ** k, 3) for k in range(1, 41)]
+        for n, s in cases:
+            v, steps, power = n, 0, False
+            while v > s:
+                power = power or kronecker_reference.is_power(v, s)
+                v, steps = -(-v // s) - 1, steps + 1
+            assert pc.kronecker_depth(n, s) == s * steps + power + v - 1, (n, s)
 
 
 class TestReblocked:
@@ -178,67 +192,6 @@ class TestReblocked:
             pc.reblocked_circuit(0, 2)
 
 
-class TestPlan:
-    def test_layer_arithmetic_identity(self):
-        for n, s in ((37, 2), (100, 3), (500, 4), (81, 3)):
-            plan = pc.kronecker_plan(n, s)
-            for rec in plan.layer_boundaries:
-                assert isinstance(rec, LayerRecord)
-                total = (rec.layer1_size + rec.layer3_size
-                         + (2 * rec.block_count - 4) + (s - 1) + 1)
-                assert total == 2 * rec.n - 2, rec
-
-    def test_power_fix_flag(self):
-        assert pc.kronecker_plan(8, 2).power_fix_applied
-        assert pc.kronecker_plan(9, 2).power_fix_applied  # hits 4 = 2**2 mid-chain
-        assert not pc.kronecker_plan(7, 2).power_fix_applied
-
-    @staticmethod
-    def sizes(plan):
-        """n and the iterates of the size map h(v) = ceil(v/s) - 1."""
-        return (plan.n, *(r.recursive_n for r in plan.layer_boundaries))
-
-    def test_size_map_8_2(self):
-        # 8 = 2**3 is built on 7, and h(7) = h(8): ceil(8/2)-1 = 3, ceil(3/2)-1 = 1
-        plan = pc.kronecker_plan(8, 2)
-        assert self.sizes(plan) == (8, 3, 1)
-        assert [r.n for r in plan.layer_boundaries] == [7, 3]
-
-    def test_size_map_27_3(self):
-        plan = pc.kronecker_plan(27, 3)
-        assert self.sizes(plan) == (27, 8, 2)
-        assert len(plan.layer_boundaries) == 2
-
-    def test_base_case_convention(self):
-        # h(n) <= s at the first step: one blocked level, then the serial
-        # base; n <= s is the base itself and has no level
-        assert self.sizes(pc.kronecker_plan(5, 3)) == (5, 1)
-        for n in (1, 2, 3):
-            assert pc.kronecker_plan(n, 3).layer_boundaries == ()
-
-    def test_one_record_per_shrinking_step(self):
-        # the map n -> ceil(n/s)-1 hits the serial base after exactly one
-        # step per record; the power-of-s detour adds no record
-        for s in (2, 3, 5, 11):
-            for n in range(s + 1, 200_000, 17):
-                v = n
-                levels = 0
-                while v > s:
-                    v = -(-v // s) - 1
-                    levels += 1
-                assert levels == len(pc.kronecker_plan(n, s).layer_boundaries), (n, s)
-
-    def test_depth_from_plan(self):
-        # s levels per record, one for the power fix, n - 1 for the serial base
-        cases = [(n, s) for s in range(2, 13) for n in range(1, 5001)]
-        cases += [(3 ** k, 3) for k in range(1, 41)]
-        for n, s in cases:
-            plan = pc.kronecker_plan(n, s)
-            records, fix = plan.layer_boundaries, plan.power_fix_applied
-            base = records[-1].recursive_n if records else n - fix
-            assert pc.kronecker_depth(n, s) == s * len(records) + fix + base - 1, (n, s)
-
-
 class TestEdgePredicate:
     def test_block0_layer1_edge(self):
         # n=4 delegates to the n=3 sub-build; the first block's serial gate
@@ -258,7 +211,7 @@ class TestEdgePredicate:
                 assert pc.level_edges(n, s, pc.circuit_depth(n, s)) == []
 
     def test_bad_params(self):
-        # s = 1 would never leave is_power_of's loop; s = 0 divides by zero
+        # s = 1 would never leave _is_power_of's loop; s = 0 divides by zero
         for call in (
             lambda: pc.edge_predicate(5, 1, 0, 0, 0),
             lambda: pc.edge_predicate(0, 2, 0, 0, 0),
@@ -322,7 +275,8 @@ class TestMinDepthTable:
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
-# every public builder and depth function, by the integer parameters it takes
+# the public builders, depth functions, edge predicates and kronalg
+# functions, by their integer parameters (the lambdas fix the others)
 INTEGER_PARAMS = {
     "serial": (pc.serial, (8,)),
     "sklansky": (pc.sklansky, (8,)),
@@ -334,11 +288,16 @@ INTEGER_PARAMS = {
     "circuit_depth": (pc.circuit_depth, (8, 2)),
     "kronecker_depth": (pc.kronecker_depth, (8, 2)),
     "kronecker_depth_bound": (pc.kronecker_depth_bound, (8, 2)),
-    "kronecker_plan": (pc.kronecker_plan, (27, 3)),
     "min_depth_table": (pc.min_depth_table, (8,)),
     "fib_depth_lower_bound": (pc.fib_depth_lower_bound, (8,)),
     "build_adder": (pc.build_adder, (8, 2)),
     "estimate_resources": (pc.estimate_resources, (8, 2)),
+    "edge_predicate": (pc.edge_predicate, (8, 2, 1, 1, 3)),
+    "level_edges": (pc.level_edges, (8, 2, 1)),
+    "build": (lambda n: pc.build("L", n), (3,)),
+    "decomposition_check": (pc.decomposition_check, (2, 3)),
+    "mat_s": (lambda s: pc.mat_s(np.arange(6), s), (2,)),
+    "prefix_via_kron": (lambda n1, n2: pc.prefix_via_kron(np.arange(6), n1, n2), (2, 3)),
 }
 
 
@@ -348,13 +307,32 @@ class TestIntegerParams:
     def test_non_integer_rejected(self, name, bad):
         fn, args = INTEGER_PARAMS[name]
         for i in range(len(args)):
-            with pytest.raises(ValueError, match=r"^(n|s|k|max_n): expected an integer"):
+            with pytest.raises(ValueError, match=r"^(n|s|k|max_n|n1|n2|level|src_node|"
+                                                 r"dst_node): expected an integer"):
                 fn(*args[:i], bad, *args[i + 1:])
+
+    @pytest.mark.parametrize("name", sorted(INTEGER_PARAMS))
+    def test_out_of_range_rejected(self, name):
+        # the size (n, max_n or n1) at 0, and s in {1, 0, -1} where the row
+        # takes s, raise at once: none reaches a loop that s = 1 never
+        # leaves or a division by s = 0
+        fn, args = INTEGER_PARAMS[name]
+        calls = [(0, *args[1:])]
+        params = list(inspect.signature(fn).parameters)
+        if "s" in params:
+            i = params.index("s")
+            calls += [(*args[:i], s, *args[i + 1:]) for s in (1, 0, -1)]
+        for bad in calls:
+            with pytest.raises(ValueError):
+                fn(*bad)
 
     @pytest.mark.parametrize("name", sorted(INTEGER_PARAMS))
     def test_numpy_integers_give_plain_ints(self, name):
         fn, args = INTEGER_PARAMS[name]
         got, want = fn(*map(np.int64, args)), fn(*args)
+        if isinstance(got, np.ndarray):  # kronalg's matrices and vectors
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            return
         if isinstance(got, pc.QuantumCircuit):
             assert pc.netlist(got) == pc.netlist(want)
             got = SimpleNamespace(n=got.n, s=got.s, n_qubits=got.n_qubits)
@@ -362,7 +340,12 @@ class TestIntegerParams:
             assert got == want
             if isinstance(got, pc.PrefixCircuit):
                 got = SimpleNamespace(n=got.n)
-        values = [got] if isinstance(got, int) else list(vars(got).values())
+        if isinstance(got, int):
+            values = [got]
+        elif isinstance(got, list):  # level_edges' (src, dst) pairs
+            values = [v for edge in got for v in edge]
+        else:
+            values = list(vars(got).values())
         assert not any(isinstance(v, np.integer) for v in values), values
 
     def test_resources_serialize(self):
