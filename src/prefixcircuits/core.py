@@ -89,10 +89,26 @@ class PrefixCircuit:
         if G and levels.min() < 1:
             g = int(np.argmax(levels < 1))
             raise CircuitStructureError(f"gate {g}: level must be >= 1")
+        # one block of gates at a time, so the temporaries stay O(_BLOCK)
+        wire_level = np.concatenate((np.zeros(n, dtype=np.int64), levels))
+        for lo in range(0, G, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            own_wire = np.arange(n + lo, n + min(lo + _BLOCK, G), dtype=np.uint64)
+            for side in (self._lefts[block], self._rights[block]):
+                if (side.view(np.uint64) >= own_wire).any() or (
+                        wire_level[side] >= levels[block]).any():
+                    self._operand_fault(wire_level)
+        outs = self._outs
+        if (outs.view(np.uint64) >= n + G).any():
+            i = int(np.argmax((outs < 0) | (outs >= n + G)))
+            raise CircuitStructureError(f"output {i}: dangling wire {int(outs[i])}")
+
+    def _operand_fault(self, wire_level):
+        """Raise for the first operand fault by kind, over whole arrays."""
+        n, G, levels = self.n, self.size, self._levels
         # an operand must be a wire below its gate's own; as unsigned, a
         # negative wire is huge, so one compare finds every fault of order
         own_wire = np.arange(n, n + G, dtype=np.uint64)
-        wire_level = np.concatenate((np.zeros(n, dtype=np.int64), levels))
         for side in (self._lefts, self._rights):
             late = side.view(np.uint64) >= own_wire
             if late.any():
@@ -109,10 +125,6 @@ class PrefixCircuit:
                 raise CircuitStructureError(
                     f"gate {g}: operand gate {int(side[g]) - n} violates level order"
                 )
-        outs = self._outs
-        if (outs.view(np.uint64) >= n + G).any():
-            i = int(np.argmax((outs < 0) | (outs >= n + G)))
-            raise CircuitStructureError(f"output {i}: dangling wire {int(outs[i])}")
 
     @property
     def size(self) -> int:
@@ -141,55 +153,58 @@ def evaluate(circuit: PrefixCircuit, inputs: Sequence, op: Callable):
     n = circuit.n
     if len(inputs) != n:
         raise ValueError(f"expected {n} inputs, got {len(inputs)}")
-    vals = list(inputs) + [None] * circuit.size
-    lefts = circuit._lefts
-    rights = circuit._rights
-    for g in range(circuit.size):
-        vals[n + g] = op(vals[lefts[g]], vals[rights[g]])
-    return [vals[w] for w in circuit._outs]
+    vals = list(inputs)
+    for l, r in zip(circuit._lefts.tolist(), circuit._rights.tolist()):
+        vals.append(op(vals[l], vals[r]))
+    return [vals[w] for w in circuit._outs.tolist()]
 
 
 _CHUNK = 64  # gates per chunk in the first round of _forest_roots
+_BLOCK = 1 << 16  # gates per block of the validator's passes over the wire arrays
 
 
 def _forest_roots(n: int, parent: np.ndarray) -> np.ndarray:
     """Input at the root of each wire's tree, gate g hanging off parent[g].
 
-    Pointer jumping in two rounds.  Round 1: each gate jumps until its
-    pointer leaves its own chunk of _CHUNK consecutive gates.  Pointers
-    only go down, so the gates of a chunk share one bound, and each ends on
-    its exit, the first ancestor below the chunk, after at most
-    log2(_CHUNK) = 6 passes.  Round 2: the exits that are gates form a set
-    X closed under the pointers (an exit's pointer is its own exit), and
-    plain jumping resolves X alone.  One gather then gives every gate its
-    exit's root.
+    Pointer jumping in blocks of _BLOCK gates, in increasing order: as
+    pointers only go down, every wire below a block holds its root input.
+    In a block, round 1: each gate jumps until its pointer leaves its own
+    chunk of _CHUNK consecutive gates.  The gates of a chunk share one
+    bound, and each ends on its exit, the first ancestor below the chunk,
+    after at most log2(_CHUNK) = 6 passes.  Round 2: the block's exits that
+    are gates form a set X closed under the pointers (an exit's pointer is
+    its own exit), and plain jumping takes X down to the inputs, the last
+    step through the finished lower blocks.  One gather then gives every
+    gate of the block its exit's root.
 
     Work: at most 6G steps in round 1, |X| log2(h) in round 2 for a forest
     of height h, and O(G) for the rest.  A chain has one exit per chunk,
     so it costs about 6G steps where plain jumping costs G log2(h); in a
-    bushy forest most gates are exits, and the rounds cost plain jumping
-    plus a few whole-array passes.
+    bushy forest most gates are exits.  Memory: the root array, an exit
+    mask and O(_BLOCK) temporaries, so a block's jumps stay in cache.
     """
     G = len(parent)
     root = np.concatenate((np.arange(n, dtype=np.int64), parent))
-    stop = np.arange(G, dtype=np.int64) & -_CHUNK
-    stop += n
-    a = (parent >= stop).nonzero()[0]
-    stop = stop[a]
-    a += n
-    while a.size:
-        r = root[root[a]]
-        root[a] = r
-        keep = r >= stop
-        a, stop = a[keep], stop[keep]
     exits = np.zeros(n + G, dtype=bool)
-    exits[root[n:]] = True
-    a = exits[n:].nonzero()[0] + n
-    while a.size:
-        r = root[root[a]]
-        root[a] = r
-        a = a[r >= n]
-    root[n:] = root[root[n:]]
+    for lo in range(n, n + G, _BLOCK):
+        hi = min(lo + _BLOCK, n + G)
+        stop = np.arange(lo - n, hi - n, dtype=np.int64) & -_CHUNK
+        stop += n
+        a = (root[lo:hi] >= stop).nonzero()[0]
+        stop = stop[a]
+        a += lo
+        while a.size:
+            r = root[root[a]]
+            root[a] = r
+            keep = r >= stop
+            a, stop = a[keep], stop[keep]
+        exits[root[lo:hi]] = True
+        a = exits[lo:hi].nonzero()[0] + lo
+        while a.size:
+            r = root[root[a]]
+            root[a] = r
+            a = a[r >= n]
+        root[lo:hi] = root[root[lo:hi]]
     return root
 
 
@@ -199,7 +214,9 @@ def _live_gates(n: int, lefts, rights, outs) -> np.ndarray:
     Repeatedly peels gates that feed no gate and are not outputs.
     """
     G = len(lefts)
-    fan = np.bincount(np.concatenate((lefts, rights, outs)), minlength=n + G)[n:]
+    fan = np.bincount(lefts, minlength=n + G)[n:]
+    fan += np.bincount(rights, minlength=n + G)[n:]
+    fan += np.bincount(outs, minlength=n + G)[n:]
     live = np.ones(G, dtype=bool)
     slot = np.empty(G, dtype=np.int64)
     sinks = np.flatnonzero(fan == 0)
@@ -229,7 +246,7 @@ def validate_prefix(circuit: PrefixCircuit) -> bool:
     b == c, and a non-run never becomes a run again.  A wire carrying a run
     starts at the root input of its left-operand forest and ends one past
     that of its right-operand forest (both found by :func:`_forest_roots`,
-    pointer jumping in two rounds, in O(G) work for a chain).  Call
+    pointer jumping in blocks, in O(G) work for a chain).  Call
     a gate aligned when its left operand's end is its right operand's
     start.  A wire carries a run iff its whole cone is aligned: the first
     misaligned gate of a cone has run operands, so it poisons the wire.  So
@@ -237,11 +254,19 @@ def validate_prefix(circuit: PrefixCircuit) -> bool:
     misaligned gate is live, i.e. in an output cone (found by peeling).
     """
     n, lefts, rights, outs = circuit.n, circuit._lefts, circuit._rights, circuit._outs
-    lo = _forest_roots(n, lefts)
-    hi = _forest_roots(n, rights) + 1
-    if lo[outs].any() or not np.array_equal(hi[outs], np.arange(1, n + 1)):
+    last = _forest_roots(n, rights)
+    if (last[outs] != np.arange(n)).any():
         return False
-    misaligned = hi[lefts] != lo[rights]
+    left_last = last[lefts]
+    del last  # one root array and one gather live at a time, to bound memory
+    first = _forest_roots(n, lefts)
+    if first[outs].any():
+        return False
+    misaligned = np.empty(len(lefts), dtype=bool)
+    for lo in range(0, len(lefts), _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        misaligned[block] = left_last[block] + 1 != first[rights[block]]
+    del first, left_last
     if misaligned.any():
         misaligned &= _live_gates(n, lefts, rights, outs)
     return not misaligned.any()
@@ -264,9 +289,8 @@ def metrics(circuit: PrefixCircuit, count_outputs: bool = False) -> CircuitMetri
 def _max_fanout(circuit: PrefixCircuit, count_outputs: bool) -> int:
     """Largest number of edges leaving one wire; see :func:`metrics`."""
     N = circuit.n + circuit.size
-    fan = np.bincount(circuit._lefts, minlength=N) + np.bincount(
-        circuit._rights, minlength=N
-    )
+    fan = np.bincount(circuit._lefts, minlength=N)
+    fan += np.bincount(circuit._rights, minlength=N)
     if count_outputs:
         fan += np.bincount(circuit._outs, minlength=N)
     return int(fan.max()) if len(fan) else 0

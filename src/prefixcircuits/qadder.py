@@ -42,6 +42,7 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
+from .core import _as_int
 from .kronecker import _check_params
 
 NOT = "NOT"
@@ -266,13 +267,17 @@ def estimate_resources(n: int, s: int) -> AdderResources:
 def simulate(circuit: QuantumCircuit, initial) -> list:
     """Apply the gates classically over {0,1}; returns the final assignment.
 
-    `initial` is a sequence assigning every qubit (index = qubit id); a
-    length other than n_qubits raises ValueError, as does a gate on a qubit
-    outside 0..n_qubits-1, negative ids included, or of an unknown kind.
+    `initial` is a sequence assigning every qubit (index = qubit id) a 0 or
+    a 1; another value or a length other than n_qubits raises ValueError,
+    as does a gate on a qubit outside 0..n_qubits-1, negative ids included,
+    or of an unknown kind.
     """
     if len(initial) != circuit.n_qubits:
         raise ValueError(f"expected {circuit.n_qubits} qubit values, got {len(initial)}")
-    return _batch_run(circuit.layers, [int(v) & 1 for v in initial], 1)
+    for q, v in enumerate(initial):
+        if v not in (0, 1):
+            raise ValueError(f"qubit {q}: expected 0 or 1, got {v!r}")
+    return _batch_run(circuit.layers, [int(v) for v in initial], 1)
 
 
 def resources(circuit: QuantumCircuit) -> AdderResources:
@@ -370,13 +375,14 @@ def verify_adder(n: int, s: int, trials: int = 10000,
     All cases run simultaneously: each qubit's values across cases are
     packed into one big integer (random pairs by numpy, one bit plane at a
     time), and the expected sum comes from an independent bitwise
-    ripple-carry over the same packed integers.  Raises ValueError for
-    trials < 1 when the check is not exhaustive, for a `circuit` whose
-    a, b or g register is not n qubits, and, as `simulate`, for a gate on a
-    qubit outside 0..n_qubits-1, negative ids included, or of an unknown
-    kind.
+    ripple-carry over the same packed integers.  Raises ValueError for a
+    `trials` that is not an integer, or is below 1 when the check is not
+    exhaustive, for a `circuit` whose a, b or g register is not n qubits,
+    and, as `simulate`, for a gate on a qubit outside 0..n_qubits-1,
+    negative ids included, or of an unknown kind.
     """
     exhaustive = n <= 10
+    trials = _as_int("trials", trials)
     if not exhaustive and trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if circuit is None:

@@ -3,6 +3,8 @@
 import importlib
 import pkgutil
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,17 @@ from hypothesis import strategies as st
 
 import prefixcircuits as pc
 from prefixcircuits import CircuitStructureError, PrefixCircuit
+from prefixcircuits import core
 from prefixcircuits.core import _CHUNK, _forest_roots
+
+# block sizes for the validator's passes over the wire arrays: the
+# library's, and small ones so that a few hundred gates span several blocks
+BLOCKS = (core._BLOCK, 64, 128, 192)
+
+
+def _block(size):
+    """core._BLOCK set to `size` inside the with-statement, restored after."""
+    return mock.patch.object(core, "_BLOCK", size)
 
 
 def ref_validate(circuit):
@@ -208,7 +220,9 @@ class TestValidatePrefix:
     def test_matches_interval_loop(self, circuit):
         want = _interval_check(circuit.n, circuit._lefts.tolist(),
                                circuit._rights.tolist(), circuit._outs.tolist())
-        assert pc.validate_prefix(circuit) == want
+        for block in BLOCKS:
+            with _block(block):
+                assert pc.validate_prefix(circuit) == want
 
     @pytest.mark.parametrize("circuit, valid", DEAD_GATE_CASES)
     def test_dead_gates_hand_cases(self, circuit, valid):
@@ -291,7 +305,10 @@ class TestForestRoots:
     @settings(max_examples=150, deadline=None)
     def test_matches_loop(self, forest):
         n, parent = forest
-        assert _forest_roots(n, parent).tolist() == _roots_loop(n, parent)
+        want = _roots_loop(n, parent)
+        for block in BLOCKS:
+            with _block(block):
+                assert _forest_roots(n, parent).tolist() == want
 
     @pytest.mark.parametrize("G", [0, 1, 63, 64, 65, 127, 128, 129, 5000])
     def test_chunk_sizes(self, G):
@@ -300,7 +317,20 @@ class TestForestRoots:
         chain = wires - 1
         anywhere = (rng.random(G) * wires).astype(np.int64)
         for parent in (chain, anywhere):
-            assert _forest_roots(1, parent).tolist() == _roots_loop(1, parent)
+            want = _roots_loop(1, parent)
+            for block in BLOCKS:
+                with _block(block):
+                    assert _forest_roots(1, parent).tolist() == want
+
+    def test_blocks_of_library_size(self):
+        # a chain and a random forest over three blocks of core._BLOCK gates
+        G = 2 * core._BLOCK + 1000
+        rng = np.random.default_rng(21)
+        wires = np.arange(3, G + 3)
+        chain = np.concatenate(([1], wires[:-1]))
+        anywhere = (rng.random(G) * wires).astype(np.int64)
+        for parent in (chain, anywhere):
+            assert _forest_roots(3, parent).tolist() == _roots_loop(3, parent)
 
     @pytest.mark.parametrize("name", sorted(ROOT_GENERATORS))
     def test_generators(self, name):
@@ -360,9 +390,12 @@ class TestStructureCheck:
                   for name in ("lefts", "rights", "levels", "outs")}
         for name, i, value in faults:
             arrays[name][i] = value
-        with pytest.raises(CircuitStructureError) as err:
-            PrefixCircuit.from_arrays(8, *arrays.values())
-        assert str(err.value) == message
+        # with blocks of 4 of the 12 gates, two faults at different gates
+        # fall in different blocks; the message must not depend on that
+        for block in (core._BLOCK, 4):
+            with _block(block), pytest.raises(CircuitStructureError) as err:
+                PrefixCircuit.from_arrays(8, *arrays.values())
+            assert str(err.value) == message
 
     @pytest.mark.parametrize("arrays, message", [
         # a one-gate circuit with a second level once read as depth 5
@@ -379,6 +412,27 @@ class TestStructureCheck:
     def test_array_shapes_rejected(self, arrays, message):
         with pytest.raises(CircuitStructureError, match=f"^{re.escape(message)}$"):
             PrefixCircuit.from_arrays(2, *arrays)
+
+
+def test_peak_memory_bounded():
+    """Temporaries above the circuit's own arrays, in units of one wire array
+    of 8(n + G) bytes, plus 64 bytes per gate of a block: at most 2 units
+    for validate_prefix (a root array and a G-length gather) and 1.5 for the
+    structure check (the wire levels).  The whole-array passes before the
+    blocks took 3.4 and 2.6 units.  tracemalloc peaks repeat exactly."""
+    c = pc.kronecker_circuit(500_000, 48)
+    unit, per_block = 8 * (c.n + c.size), 64 * core._BLOCK
+    arrays = (c._lefts, c._rights, c._levels, c._outs)
+    for name, call, units in (
+            ("validate_prefix", lambda: pc.validate_prefix(c), 2.0),
+            ("from_arrays", lambda: PrefixCircuit.from_arrays(c.n, *arrays), 1.5)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= units * unit + per_block, (name, peak / unit)
 
 
 class TestMetrics:

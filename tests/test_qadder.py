@@ -60,6 +60,12 @@ class TestGateSemantics:
             with pytest.raises(ValueError, match=r"^expected 2 qubit values, got \d$"):
                 simulate(c, initial)
 
+    @pytest.mark.parametrize("value", [2, -1, 0.7, "1"])
+    def test_non_bit_value_rejected(self, value):
+        # these were read as int(v) & 1, so 2 ran as 0 and -1 as 1
+        with pytest.raises(ValueError, match=rf"^qubit 3: expected 0 or 1, got {value!r}$"):
+            simulate(build_adder(2, 2), [0, 1, 1, value, 0, 0])
+
 
 class TestAdderSmall:
     def test_half_adder(self):
@@ -106,6 +112,13 @@ class TestVerify:
         with pytest.raises(ValueError, match="trials"):
             verify_adder(20, 3, trials=0)
         assert verify_adder(3, 2, trials=0).exhaustive  # trials unused
+
+    @pytest.mark.parametrize("n", [3, 20])
+    @pytest.mark.parametrize("trials", [True, 2.5, "10", None])
+    def test_non_integer_trials_rejected(self, n, trials):
+        # True once ran one case and reported cases=True; 2.5 raised TypeError
+        with pytest.raises(ValueError, match=r"^trials: expected an integer"):
+            verify_adder(n, 2, trials=trials)
 
     def test_corrupted_circuit_yields_counterexample(self):
         c = build_adder(4, 2)
