@@ -13,13 +13,10 @@ from .core import (
     validate_prefix,
 )
 from .kronalg import (
-    brent_kung_kron_step,
     build,
     decomposition_check,
     kron,
-    mat_s,
     prefix_via_kron,
-    vec,
 )
 from .kronecker import (
     DepthTable,
@@ -57,7 +54,6 @@ __all__ = [
     "QuantumCircuit",
     "SchemaError",
     "brent_kung",
-    "brent_kung_kron_step",
     "build",
     "build_adder",
     "circuit_depth",
@@ -76,7 +72,6 @@ __all__ = [
     "kronecker_depth_bound",
     "ladner_fischer",
     "level_edges",
-    "mat_s",
     "metrics",
     "min_depth_table",
     "netlist",
@@ -87,6 +82,5 @@ __all__ = [
     "simulate",
     "sklansky",
     "validate_prefix",
-    "vec",
     "verify_adder",
 ]

@@ -43,6 +43,14 @@ def _as_int(name: str, x, error=ValueError) -> int:
     raise error(f"{name}: expected an integer, got {x!r}")
 
 
+def _int_array(name: str, a, error=ValueError) -> np.ndarray:
+    """a as int64 (itself if it is); `error` naming `name` if non-empty of another dtype."""
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "iu":
+        raise error(f"{name}: expected integers, got dtype {a.dtype}")
+    return a.astype(np.int64, copy=False)
+
+
 class CircuitStructureError(ValueError):
     """Raised for malformed circuits; names the offending gate, output or array."""
 
@@ -58,6 +66,8 @@ class PrefixCircuit:
 
         Raises CircuitStructureError for a malformed circuit, including a
         non-1-D array, unequal lengths, or an n or values that are not integers.
+        The int64 arrays kept (an int64 input itself) turn read-only once
+        checked; a caller's view still changes if its base is written.
         """
         n = _as_int("n", n, CircuitStructureError)
         if n < 1:
@@ -69,10 +79,10 @@ class PrefixCircuit:
             a = np.asarray(a)
             if a.ndim != 1:
                 raise CircuitStructureError(f"{name}: expected a 1-D array")
-            if a.size and a.dtype.kind not in "iu":  # no silent float or bool casts
-                raise CircuitStructureError(f"{name}: expected integers, got dtype {a.dtype}")
-            object.__setattr__(self, "_" + name, a.astype(np.int64, copy=False))
+            object.__setattr__(self, "_" + name, _int_array(name, a, CircuitStructureError))
         self._check_structure()
+        for a in (self._lefts, self._rights, self._levels, self._outs):
+            a.flags.writeable = False
         return self
 
     def __setattr__(self, name, value):

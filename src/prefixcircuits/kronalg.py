@@ -3,7 +3,7 @@
 Matrices are dense ``numpy`` int64 arrays; every check here is combinatorial
 and compared bit-exactly, never with a float tolerance.  The magnitudes stay
 tiny (entries of the triangular constructions are 0/1 and test vectors are
-small), so int64 is exact throughout.
+small), so int64 is exact throughout; a float or bool input raises ValueError.
 
 The inclusive prefix sum of a vector x is L @ x with L the lower triangular
 all-ones matrix.  L factors through any splitting n = n1 * n2::
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _as_int
+from .core import _as_int, _int_array
 
 _MATRICES = {  # kind -> constructor of the n x n matrix
     "L": lambda n: np.tril(np.ones((n, n), dtype=np.int64)),
@@ -43,8 +43,8 @@ def build(kind: str, n: int) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with exact integer dtype preserved."""
-    return np.kron(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+    """Kronecker product of two integer matrices, exact in int64."""
+    return np.kron(_int_array("a", a), _int_array("b", b))
 
 
 def decomposition_check(n1: int, n2: int) -> bool:
@@ -74,27 +74,6 @@ def decomposition_check(n1: int, n2: int) -> bool:
     return all(checks)
 
 
-def mat_s(x, s: int) -> np.ndarray:
-    """Reshape a length-n vector into s x ceil(n/s) column blocks.
-
-    Column i is x[i*s : i*s + s], zero-padded when s does not divide n.
-    Requires 1 < s < n.
-    """
-    x = np.asarray(x, dtype=np.int64)
-    n = len(x)
-    if not 1 < _as_int("s", s) < n:
-        raise ValueError(f"need 1 < s < n, got s={s}, n={n}")
-    cols = -(-n // s)
-    padded = np.zeros(s * cols, dtype=np.int64)
-    padded[:n] = x
-    return padded.reshape(cols, s).T.copy()
-
-
-def vec(X: np.ndarray) -> np.ndarray:
-    """Stack the columns of X into a single vector (inverse of mat_s)."""
-    return np.asarray(X, dtype=np.int64).T.reshape(-1).copy()
-
-
 def prefix_via_kron(x, n1: int, n2: int) -> np.ndarray:
     """Inclusive prefix sums of x through the split L_n = I(x)L + Lminus(x)ones.
 
@@ -102,38 +81,13 @@ def prefix_via_kron(x, n1: int, n2: int) -> np.ndarray:
     of length n2).  Term two broadcasts the exclusive prefix sums of the
     column totals; it is computed as column sums followed by an exclusive
     scan, never as a full n x n multiply.  Exact integers; must equal the
-    serial fold.
+    serial fold.  ValueError for an x that is not integers.
     """
-    x = np.asarray(x, dtype=np.int64)
+    x = _int_array("x", x)
     if _as_int("n1", n1) * _as_int("n2", n2) != len(x):
         raise ValueError(f"n1*n2 = {n1 * n2} != len(x) = {len(x)}")
     X = x.reshape(n1, n2).T  # mat_{n2}(x): columns are the blocks
     term1 = np.cumsum(X, axis=0, dtype=np.int64)  # L_{n2} @ X
     colsums = X.sum(axis=0, dtype=np.int64)
     excl = np.concatenate(([0], np.cumsum(colsums[:-1], dtype=np.int64)))
-    return vec(term1 + excl[np.newaxis, :])
-
-
-def brent_kung_kron_step(x) -> np.ndarray:
-    """One pair-and-recurse step of the prefix sum, in matrix form.
-
-    Pairs adjacent entries (with the last entry peeled off when the length
-    is odd), recursively prefix-sums the pair totals, and completes the
-    even positions from the shifted recursive result.  Equals L_n @ x.
-    """
-    x = np.asarray(x, dtype=np.int64)
-    n = len(x)
-    if n <= 1:
-        return x.copy()
-    if n % 2:
-        head = brent_kung_kron_step(x[:-1])
-        return np.concatenate((head, [head[-1] + x[-1]]))
-    X = x.reshape(n // 2, 2).T  # mat_2(x)
-    w = X.sum(axis=0, dtype=np.int64)  # step 1: pair totals
-    z = brent_kung_kron_step(w)  # step 2: recurse
-    Y = np.empty_like(X)
-    Y[1, :] = z
-    Y[0, 0] = X[0, 0]
-    Y[0, 1:] = X[0, 1:] + z[:-1]  # step 3: complete the first row
-    return vec(Y)
-
+    return (term1 + excl[np.newaxis, :]).T.reshape(-1)  # vec: stack the columns

@@ -283,9 +283,6 @@ class DepthTable:
 
     entries: tuple  # entries[n] = (min_depth, best_s) for n >= 1; entries[0] is None
 
-    def min_depth(self, n: int) -> int:
-        return self.entries[n][0]
-
 
 def min_depth_table(max_n: int) -> DepthTable:
     """Tabulate min over s in [2, max(2, n//2)] of kronecker_depth(n, s).

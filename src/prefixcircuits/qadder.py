@@ -23,7 +23,8 @@ made from :class:`Gate` tuples is split into layers in gate order, and
 ``.gates`` makes the tuples again from the layers; it is never stored.
 :func:`resources`, :func:`netlist` and the simulator take a whole layer at a
 time, so :func:`estimate_resources` is ``resources(build_adder(n, s))``.
-n and s are checked as in :mod:`.kronecker`; the CLI formats the results.
+n and s are checked as in :mod:`.kronecker`, by :func:`verify_adder` too;
+the CLI formats the results.
 
 CNOT fan-out copies and the XOR layers carry no Toffoli layer label and do
 not count toward Toffoli depth; depth is measured as the longest chain of
@@ -128,13 +129,6 @@ class QuantumCircuit:
     @property
     def gates(self) -> _Gates:
         return _Gates(self.layers)
-
-    def inverse(self) -> "QuantumCircuit":
-        """Formal inverse: reversed gate order (each gate is self-inverse)."""
-        return QuantumCircuit.from_layers(
-            self.registers,
-            [(kind, label, *(q[::-1] for q in qs)) for kind, label, *qs in reversed(self.layers)],
-            self.n, self.s)
 
 
 def _check(layers: list, n_qubits: int, disjoint: bool = False):
@@ -375,12 +369,13 @@ def verify_adder(n: int, s: int, trials: int = 10000,
     All cases run simultaneously: each qubit's values across cases are
     packed into one big integer (random pairs by numpy, one bit plane at a
     time), and the expected sum comes from an independent bitwise
-    ripple-carry over the same packed integers.  Raises ValueError for a
-    `trials` that is not an integer, or is below 1 when the check is not
-    exhaustive, for a `circuit` whose a, b or g register is not n qubits,
-    and, as `simulate`, for a gate on a qubit outside 0..n_qubits-1,
-    negative ids included, or of an unknown kind.
+    ripple-carry over the same packed integers.  Raises ValueError for an
+    n or s that `build_adder` rejects (with a `circuit` too), for a `trials`
+    that is not an integer, or is below 1 when the check is not exhaustive,
+    for a `circuit` whose a, b or g register is not n qubits, and, as
+    `simulate` does, for a malformed gate.
     """
+    n, s = _check_params(n, s)
     exhaustive = n <= 10
     trials = _as_int("trials", trials)
     if not exhaustive and trials < 1:

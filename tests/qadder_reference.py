@@ -4,7 +4,8 @@ test_qadder.py and criterion 10's estimator check compare against: `build_adder`
 `Gate` tuple per gate, `resources` checks layer overlaps and counts depth
 gate by gate with `_DepthCounter`, and `netlist` and `simulate` walk the
 gates one at a time.  The layer builder is kept as it was too, so the
-reference does not share the code under test.
+reference does not share the code under test.  `inverse` reverses a
+library circuit's layers, for the reversibility test.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from prefixcircuits import qadder
 from prefixcircuits.qadder import (
     CNOT,
     NOT,
@@ -269,3 +271,12 @@ def netlist(circuit: QuantumCircuit) -> str:
         else:  # NOT
             lines.append(f"X {qs[0]}")
     return "\n".join(lines) + "\n"
+
+
+def inverse(circuit: qadder.QuantumCircuit) -> qadder.QuantumCircuit:
+    """Formal inverse of a library circuit: reversed gate order (each gate is
+    self-inverse)."""
+    return qadder.QuantumCircuit.from_layers(
+        circuit.registers,
+        [(kind, label, *(q[::-1] for q in qs)) for kind, label, *qs in reversed(circuit.layers)],
+        circuit.n, circuit.s)

@@ -266,6 +266,21 @@ class TestValidatePrefix:
         # numpy reads an empty list as float64; it holds no value to misread
         assert PrefixCircuit.from_arrays(1, [], [], [], [0]) == pc.serial(1)
 
+    def test_checked_arrays_read_only(self):
+        # from_arrays keeps an int64 input itself: a write after the check
+        # would turn this valid circuit invalid (r[0] = 0) without a word
+        arrays = [np.array(a, dtype=np.int64) for a in ([0], [1], [1], [0, 2])]
+        c = PrefixCircuit.from_arrays(2, *arrays)
+        for a in arrays + [c._lefts, pc.sklansky(8)._rights]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        assert pc.validate_prefix(c)
+        # a rejected circuit keeps nothing, and leaves its inputs writeable
+        arrays = [np.array(a, dtype=np.int64) for a in ([0], [1], [1], [0, 9])]
+        with pytest.raises(CircuitStructureError):
+            PrefixCircuit.from_arrays(2, *arrays)
+        assert all(a.flags.writeable for a in arrays)
+
 
 def _roots_loop(n, parent):
     """Reference forest roots: one gate at a time, in topological order."""

@@ -1,4 +1,4 @@
-"""Exact-integer matrix identities and the reshaping operators."""
+"""Exact-integer matrix identities and the prefix sum they give."""
 
 import numpy as np
 import pytest
@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 
 from prefixcircuits import (
     brent_kung,
-    brent_kung_kron_step,
     build,
     evaluate,
     kron,
-    mat_s,
     prefix_via_kron,
     decomposition_check,
-    vec,
 )
+
+from kronalg_reference import brent_kung_kron_step
 
 
 def serial_fold(x):
@@ -62,6 +61,9 @@ class TestKron:
 
     def test_mixed_product(self):
         # vec(A X B) = (B^T (x) A) vec(X), with vec stacking columns
+        def vec(m):
+            return m.T.reshape(-1)
+
         rng = np.random.default_rng(4)
         for _ in range(20):
             a = rng.integers(-4, 5, size=(3, 3))
@@ -94,28 +96,6 @@ class TestDecomposition:
     def test_hypothesis_requires_greater_than_one(self):
         with pytest.raises(ValueError):
             decomposition_check(1, 4)
-
-
-class TestMatVec:
-    def test_columns_exact_division(self):
-        X = mat_s(np.arange(1, 7), 2)
-        assert X.tolist() == [[1, 3, 5], [2, 4, 6]]
-
-    def test_zero_padding(self):
-        X = mat_s(np.arange(1, 6), 2)
-        assert X[:, -1].tolist() == [5, 0]
-
-    def test_s_out_of_range(self):
-        with pytest.raises(ValueError):
-            mat_s(np.arange(4), 1)
-        with pytest.raises(ValueError):
-            mat_s(np.arange(4), 4)
-
-    @given(st.lists(st.integers(-50, 50), min_size=3, max_size=40))
-    def test_vec_mat_round_trip(self, xs):
-        x = np.array(xs, dtype=np.int64)
-        for s in range(2, len(xs)):
-            assert vec(mat_s(x, s))[: len(xs)].tolist() == xs
 
 
 class TestPrefixViaKron:

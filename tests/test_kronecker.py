@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -239,12 +240,12 @@ class TestEdgePredicate:
 class TestMinDepthTable:
     def test_small_entries(self):
         t = pc.min_depth_table(10)
-        assert t.min_depth(2) == 1
+        assert t.entries[2][0] == 1
         # minD(4) = 3: every block size hits either the power-of-2 detour
         # (s=2: 1 + D(3) = 3) or the serial base; there is no depth-2 value
         # of the recursion with its fan-out fix
-        assert t.min_depth(4) == 3
-        assert t.min_depth(4) == min(
+        assert t.entries[4][0] == 3
+        assert t.entries[4][0] == min(
             pc.kronecker_depth(4, s) for s in range(2, 5)
         )
 
@@ -261,17 +262,17 @@ class TestMinDepthTable:
             want = min(
                 pc.kronecker_depth(n, s) for s in range(2, max(2, n // 2) + 1)
             )
-            assert t.min_depth(n) == want, n
+            assert t.entries[n][0] == want, n
 
     def test_power_of_three_family(self):
         t = pc.min_depth_table(750)
         for k in (1, 2, 3, 4, 5, 6):
             if 3 ** k <= 750:
-                assert t.min_depth(3 ** k) <= 3 * k
+                assert t.entries[3 ** k][0] <= 3 * k
 
     def test_monotone_to_10000(self):
         t = pc.min_depth_table(10_000)
-        vals = [t.min_depth(n) for n in range(1, 10_001)]
+        vals = [t.entries[n][0] for n in range(1, 10_001)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
@@ -296,8 +297,10 @@ INTEGER_PARAMS = {
     "level_edges": (pc.level_edges, (8, 2, 1)),
     "build": (lambda n: pc.build("L", n), (3,)),
     "decomposition_check": (pc.decomposition_check, (2, 3)),
-    "mat_s": (lambda s: pc.mat_s(np.arange(6), s), (2,)),
     "prefix_via_kron": (lambda n1, n2: pc.prefix_via_kron(np.arange(6), n1, n2), (2, 3)),
+    "verify_adder": (pc.verify_adder, (3, 2)),
+    "verify_adder_circuit": (lambda n, s: pc.verify_adder(n, s, circuit=pc.build_adder(3, 2)),
+                             (3, 2)),
 }
 
 
@@ -351,6 +354,57 @@ class TestIntegerParams:
     def test_resources_serialize(self):
         r = pc.estimate_resources(np.int64(8), np.int64(2))
         assert json.dumps(vars(r)) == json.dumps(vars(pc.estimate_resources(8, 2)))
+
+
+# the other arguments: (public name, call, exception, message) per row
+DATA_ARGS = [
+    ("kron", lambda: pc.kron([[0.5]], [[2]]), ValueError, r"^a: expected integers"),
+    ("kron", lambda: pc.kron([[2]], [[True]]), ValueError, r"^b: expected integers"),
+    ("prefix_via_kron", lambda: pc.prefix_via_kron([1.5, 2, 3, 4], 2, 2), ValueError,
+     r"^x: expected integers"),
+    ("evaluate", lambda: pc.evaluate(pc.serial(4), [1, 2, 3], operator.add), ValueError,
+     r"^expected 4 inputs, got 3$"),
+    ("simulate", lambda: pc.simulate(c := pc.build_adder(2, 2), [2] * c.n_qubits),
+     ValueError, r"^qubit 0: expected 0 or 1"),
+    ("import_json", lambda: pc.import_json("{not json"), pc.SchemaError,
+     r"^\$: not valid JSON"),
+    ("netlist", lambda: pc.netlist(pc.QuantumCircuit({"q": range(2)}, [("CNOT", (0, 5), None)])),
+     ValueError, r"uses qubit 5, outside 0\.\.1$"),
+    ("resources", lambda: pc.resources(pc.QuantumCircuit({"q": range(2)},
+                                                         [("CNOT", (0, 5), None)])),
+     ValueError, r"uses qubit 5, outside 0\.\.1$"),
+    ("PrefixCircuit", lambda: pc.PrefixCircuit.from_arrays(2, [0.0], [1], [1], [0, 2]),
+     pc.CircuitStructureError, r"^lefts: expected integers"),
+    ("QuantumCircuit", lambda: pc.QuantumCircuit({"q": range(2)}, [("CNOT", (), None)]),
+     ValueError, r"^gate 0 \(CNOT\) acts on no qubit$"),
+]
+
+# public callables with no argument to misuse, and why
+MISUSE_EXEMPT = {
+    **dict.fromkeys(("validate_prefix", "export_json", "export_dot"),
+                    "reads a PrefixCircuit, which from_arrays checked"),
+    "metrics": "reads a checked PrefixCircuit, and count_outputs for its truth, "
+               "as Python reads a flag",
+    **dict.fromkeys(("AdderCheckReport", "AdderResources", "CircuitMetrics", "DepthTable"),
+                    "a record of results that the library fills in"),
+    **dict.fromkeys(("CircuitStructureError", "SchemaError"), "an exception type"),
+}
+
+
+class TestMisuseCoverage:
+    @pytest.mark.parametrize("name, call, error, match", DATA_ARGS,
+                             ids=[row[0] for row in DATA_ARGS])
+    def test_data_argument_rejected(self, name, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
+    def test_every_public_callable_covered(self):
+        # a new public entry lands with its misuse case or a stated exemption
+        named = {row[0] for row in DATA_ARGS} | set(MISUSE_EXEMPT)
+        covered = named | set(INTEGER_PARAMS)
+        missing = [name for name in pc.__all__
+                   if callable(getattr(pc, name)) and name not in covered]
+        assert missing == [] and named <= set(pc.__all__), missing
 
 
 def test_mutation_sensitivity_spot():
