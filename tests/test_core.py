@@ -268,7 +268,7 @@ class TestValidatePrefix:
 
     def test_checked_arrays_read_only(self):
         # from_arrays keeps an int64 input itself: a write after the check
-        # would turn this valid circuit invalid (r[0] = 0) without a word
+        # (rights[0] = 0) would turn this valid circuit invalid without a word
         arrays = [np.array(a, dtype=np.int64) for a in ([0], [1], [1], [0, 2])]
         c = PrefixCircuit.from_arrays(2, *arrays)
         for a in arrays + [c._lefts, pc.sklansky(8)._rights]:
