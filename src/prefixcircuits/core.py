@@ -25,6 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+_INT64_MAX = (1 << 63) - 1
+
 
 @dataclass(frozen=True)
 class CircuitMetrics:
@@ -44,10 +46,13 @@ def _as_int(name: str, x, error=ValueError) -> int:
 
 
 def _int_array(name: str, a, error=ValueError) -> np.ndarray:
-    """a as int64 (itself if it is); `error` naming `name` if non-empty of another dtype."""
+    """a as int64 (itself if it is); `error` naming `name` if non-empty of another
+    dtype, or unsigned with a value past the int64 maximum (astype would wrap it)."""
     a = np.asarray(a)
     if a.size and a.dtype.kind not in "iu":
         raise error(f"{name}: expected integers, got dtype {a.dtype}")
+    if a.dtype == np.uint64 and a.size and a.max() > _INT64_MAX:
+        raise error(f"{name}: value {a.max()} is above the int64 maximum {_INT64_MAX}")
     return a.astype(np.int64, copy=False)
 
 
@@ -313,6 +318,11 @@ def fib_depth_lower_bound(n: int) -> int:
     F(0)=0, F(1)=F(2)=1.  This calibration makes the bound monotone in n and
     tight at small sizes (n=2 -> 1, n=4 -> 2, consistent with the depth-2
     four-input circuit that meets the size+depth lower bound).
+
+    No library function calls it; it stays as the one implementation of
+    acceptance criterion 6's depth bound, which the tests check measured
+    depths against. `mindepth`'s CSV does not print it, since perfbench
+    parses that CSV.
     """
     if _as_int("n", n) < 1:
         raise ValueError("n must be >= 1")

@@ -1,9 +1,10 @@
 """Exact integer linear algebra behind the triangular decomposition identities.
 
 Matrices are dense ``numpy`` int64 arrays; every check here is combinatorial
-and compared bit-exactly, never with a float tolerance.  The magnitudes stay
-tiny (entries of the triangular constructions are 0/1 and test vectors are
-small), so int64 is exact throughout; a float or bool input raises ValueError.
+and compared bit-exactly, never with a float tolerance.  int64 is exact where
+it is checked: `kron` and `prefix_via_kron` bound their results from the
+inputs (max|a| * max|b|, the sum of |x|) and raise ValueError when the bound
+leaves int64, as they do for a float or bool input.
 
 The inclusive prefix sum of a vector x is L @ x with L the lower triangular
 all-ones matrix.  L factors through any splitting n = n1 * n2::
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _as_int, _int_array
+from .core import _INT64_MAX, _as_int, _int_array
 
 _MATRICES = {  # kind -> constructor of the n x n matrix
     "L": lambda n: np.tril(np.ones((n, n), dtype=np.int64)),
@@ -42,9 +43,21 @@ def build(kind: str, n: int) -> np.ndarray:
     return _MATRICES[kind](n)
 
 
+def _max_abs(a: np.ndarray) -> int:
+    """The largest |entry| of an int64 array as a Python int (no wrap), 0 if empty."""
+    return max(-int(a.min()), int(a.max())) if a.size else 0
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two integer matrices, exact in int64."""
-    return np.kron(_int_array("a", a), _int_array("b", b))
+    """Kronecker product of two integer matrices, exact in int64.
+
+    ValueError for a non-integer input, or when max|a| * max|b| leaves int64.
+    """
+    a, b = _int_array("a", a), _int_array("b", b)
+    if (bound := _max_abs(a) * _max_abs(b)) > _INT64_MAX:
+        raise ValueError(f"a, b: max|a| * max|b| = {bound} is above the int64 "
+                         f"maximum {_INT64_MAX}")
+    return np.kron(a, b)
 
 
 def decomposition_check(n1: int, n2: int) -> bool:
@@ -81,11 +94,16 @@ def prefix_via_kron(x, n1: int, n2: int) -> np.ndarray:
     of length n2).  Term two broadcasts the exclusive prefix sums of the
     column totals; it is computed as column sums followed by an exclusive
     scan, never as a full n x n multiply.  Exact integers; must equal the
-    serial fold.  ValueError for an x that is not integers.
+    serial fold.  ValueError for an x that is not a 1-D array of integers,
+    or whose sum of |x|, which bounds every prefix sum, leaves int64.
     """
     x = _int_array("x", x)
+    if x.ndim != 1:
+        raise ValueError(f"x: expected a 1-D array, got shape {x.shape}")
     if _as_int("n1", n1) * _as_int("n2", n2) != len(x):
         raise ValueError(f"n1*n2 = {n1 * n2} != len(x) = {len(x)}")
+    if (bound := sum(map(abs, x.tolist()))) > _INT64_MAX:
+        raise ValueError(f"x: sum of |x| = {bound} is above the int64 maximum {_INT64_MAX}")
     X = x.reshape(n1, n2).T  # mat_{n2}(x): columns are the blocks
     term1 = np.cumsum(X, axis=0, dtype=np.int64)  # L_{n2} @ X
     colsums = X.sum(axis=0, dtype=np.int64)

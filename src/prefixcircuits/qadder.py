@@ -350,30 +350,21 @@ def _stripe(bit: int, total_bits: int) -> int:
     return mask
 
 
-def _bit_planes(values, n: int) -> list:
-    """Bit t of integer i is bit i of values[t]; numpy packs one plane at a time."""
-    width = -(-n // 8)  # row j of byte_rows is byte j of every value
-    byte_rows = np.frombuffer(b"".join(v.to_bytes(width, "little") for v in values),
-                              dtype=np.uint8).reshape(-1, width).T.copy()
-    return [int.from_bytes(np.packbits(byte_rows[i >> 3] >> (i & 7) & 1,
-                                       bitorder="little").tobytes(), "little")
-            for i in range(n)]
-
-
 def verify_adder(n: int, s: int, trials: int = 10000,
                  seed: int = 0, circuit: Optional[QuantumCircuit] = None) -> AdderCheckReport:
     """Check sum, carry-out, and scratch restoration against ripple-carry.
 
     Exhaustive over all (a, b) pairs for n <= 10, otherwise `trials` random
-    pairs from ``random.Random(seed)`` (a seed always gives the same pairs).
-    All cases run simultaneously: each qubit's values across cases are
-    packed into one big integer (random pairs by numpy, one bit plane at a
-    time), and the expected sum comes from an independent bitwise
-    ripple-carry over the same packed integers.  Raises ValueError for an
-    n or s that `build_adder` rejects (with a `circuit` too), for a `trials`
-    that is not an integer, or is below 1 when the check is not exhaustive,
-    for a `circuit` whose a, b or g register is not n qubits, and, as
-    `simulate` does, for a malformed gate.
+    pairs. All cases run simultaneously: each qubit's values across cases
+    are packed into one big integer, whose bit t is case t, and the expected
+    sum comes from an independent bitwise ripple-carry over the same packed
+    integers. In random mode ``random.Random(seed)`` draws the bit planes
+    themselves, n of `trials` bits for a and then n for b, so a seed keeps
+    its bit planes, and so its trials and its counterexample.  Raises
+    ValueError for an n or s that `build_adder` rejects (with a `circuit`
+    too), for a `trials` that is not an integer, or is below 1 when the
+    check is not exhaustive, for a `circuit` whose a, b or g register is not
+    n qubits, and, as `simulate` does, for a malformed gate.
     """
     n, s = _check_params(n, s)
     exhaustive = n <= 10
@@ -392,8 +383,8 @@ def verify_adder(n: int, s: int, trials: int = 10000,
     else:
         rng = random.Random(seed)
         cases = trials
-        pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(trials)]
-        a_bits, b_bits = (_bit_planes(values, n) for values in zip(*pairs))
+        a_bits = [rng.getrandbits(trials) for _ in range(n)]
+        b_bits = [rng.getrandbits(trials) for _ in range(n)]
     all_ones = (1 << cases) - 1
 
     # independent oracle: bitwise ripple-carry on the packed values
@@ -427,7 +418,8 @@ def verify_adder(n: int, s: int, trials: int = 10000,
         av = t & ((1 << n) - 1)
         bv = t >> n
     else:
-        av, bv = pairs[t]
+        av = sum((a_bits[i] >> t & 1) << i for i in range(n))
+        bv = sum((b_bits[i] >> t & 1) << i for i in range(n))
     # bit t of vals[q] is qubit q's final value in case t
     got_sum = sum((vals[q] >> t & 1) << i for i, q in enumerate(circuit.registers["b"]))
     got_carry = vals[circuit.registers["g"][n - 1]] >> t & 1

@@ -73,6 +73,19 @@ class TestKron:
             rhs = kron(b.T, a) @ vec(x)
             assert np.array_equal(lhs, rhs)
 
+    def test_int64_range_checked(self):
+        # max|a| * max|b| at the int64 maximum is exact; one past it, or the
+        # minimum's magnitude, or a uint64 that astype would wrap, is refused
+        top = 2**63 - 1
+        assert kron([[top]], [[1]]).tolist() == [[top]]
+        assert kron([[-(2**31)]], [[2**31]]).tolist() == [[-(2**62)]]
+        for a, b in (([[2**62]], [[2]]), ([[2**62]], [[-4]]), ([[-(2**63)]], [[1]])):
+            with pytest.raises(ValueError, match=r"^a, b: max\|a\| \* max\|b\| = \d+ is above"):
+                kron(a, b)
+        with pytest.raises(ValueError, match=r"^a: value 9223372036854775808 is above"):
+            kron(np.array([[2**63]], dtype=np.uint64), [[1]])
+        assert kron(np.array([[top]], dtype=np.uint64), [[1]]).tolist() == [[top]]
+
 
 class TestDecomposition:
     def test_2_2_explicit(self):
@@ -108,6 +121,21 @@ class TestPrefixViaKron:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             prefix_via_kron([1, 2, 3], 2, 2)
+
+    def test_int64_range_checked(self):
+        # the sum of |x| bounds every prefix sum: at the int64 maximum it is
+        # exact, one past it (either sign) is refused before anything wraps
+        top = 2**63 - 1
+        assert prefix_via_kron([2**62, 2**62 - 1], 1, 2).tolist() == [2**62, top]
+        assert prefix_via_kron([-(2**62), 2**62 - 1], 2, 1).tolist() == [-(2**62), -1]
+        for x in ([2**62, 2**62], [-(2**62), 2**62], [-(2**63)]):
+            with pytest.raises(ValueError, match=r"^x: sum of \|x\| = 9223372036854775808 is"):
+                prefix_via_kron(x, 1, len(x))
+
+    def test_not_one_dimensional(self):
+        for x in (5, [[1, 2], [3, 4]]):
+            with pytest.raises(ValueError, match=r"^x: expected a 1-D array, got shape"):
+                prefix_via_kron(x, 2, 1)
 
     def test_random_length_60_all_factor_pairs(self):
         rng = np.random.default_rng(5)

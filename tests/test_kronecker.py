@@ -362,6 +362,16 @@ DATA_ARGS = [
     ("kron", lambda: pc.kron([[2]], [[True]]), ValueError, r"^b: expected integers"),
     ("prefix_via_kron", lambda: pc.prefix_via_kron([1.5, 2, 3, 4], 2, 2), ValueError,
      r"^x: expected integers"),
+    ("kron", lambda: pc.kron([[2**62]], [[4]]), ValueError,
+     r"^a, b: max\|a\| \* max\|b\| = 18446744073709551616 is above the int64 maximum"),
+    ("kron", lambda: pc.kron(np.array([[2**63]], dtype=np.uint64), [[1]]), ValueError,
+     r"^a: value 9223372036854775808 is above the int64 maximum"),
+    ("prefix_via_kron", lambda: pc.prefix_via_kron([2**62, 2**62], 1, 2), ValueError,
+     r"^x: sum of \|x\| = 9223372036854775808 is above the int64 maximum"),
+    ("prefix_via_kron", lambda: pc.prefix_via_kron(5, 1, 1), ValueError,
+     r"^x: expected a 1-D array, got shape \(\)$"),
+    ("prefix_via_kron", lambda: pc.prefix_via_kron([[1, 2], [3, 4]], 2, 1), ValueError,
+     r"^x: expected a 1-D array, got shape \(2, 2\)$"),
     ("evaluate", lambda: pc.evaluate(pc.serial(4), [1, 2, 3], operator.add), ValueError,
      r"^expected 4 inputs, got 3$"),
     ("simulate", lambda: pc.simulate(c := pc.build_adder(2, 2), [2] * c.n_qubits),

@@ -183,21 +183,14 @@ class TestVerify:
         # seed's stream, which pins the bit order of the packing
         n, trials = 64, 200
         c = build_adder(n, 2)
-        victim = next(k for k, g in enumerate(c.gates) if g.toffoli_layer == "g-init"
-                      and g.qubits[2] == c.registers["g"][37])
-        broken = QuantumCircuit(c.registers, c.gates[:victim] + c.gates[victim + 1:],
-                                n, 2)
-        scratch = [q for name, qs in c.registers.items()
-                   if name not in ("a", "b", "g") for q in qs]
+        broken = _without(c, next(k for k, g in enumerate(c.gates)
+                                  if g.toffoli_layer == "g-init"
+                                  and g.qubits[2] == c.registers["g"][37]))
         firsts = []
-        for seed in range(12):
-            rng = random.Random(seed)
-            pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(trials)]
-            for t, (a, b) in enumerate(pairs):
-                got_sum, got_carry, out = run_add(broken, a, b)
-                if ((got_sum, got_carry) != ((a + b) % (1 << n), (a + b) >> n)
-                        or any(out[q] for q in scratch)
-                        or sum(out[q] << i for i, q in enumerate(c.registers["a"])) != a):
+        for seed in range(16):
+            for t, (a, b) in enumerate(_stream_pairs(n, trials, seed)):
+                got_sum, got_carry, failed = _replay(broken, a, b)
+                if failed:
                     break
             report = verify_adder(n, 2, trials=trials, seed=seed, circuit=broken)
             assert not report.ok and report.cases == trials, seed
@@ -206,11 +199,93 @@ class TestVerify:
         # failures past the first byte of trials, so the trial index is pinned
         assert max(firsts) >= 8, firsts
 
+    @pytest.mark.parametrize("s", (2, 3, 4))
+    def test_exhaustive_counterexample_is_first_failing_pair(self, s):
+        # every single-Toffoli deletion: the report names the first failing
+        # case in enumeration order (a = t mod 2**n, b = t >> n), and its
+        # sum and carry are what the circuit gives on that pair
+        for n in range(1, 6):
+            c = build_adder(n, s)
+            mask = (1 << n) - 1
+            for k in (k for k, g in enumerate(c.gates) if g.kind == TOFFOLI):
+                broken = _without(c, k)
+                first = None
+                for t in range(1 << (2 * n)):
+                    got_sum, got_carry, failed = _replay(broken, t & mask, t >> n)
+                    if failed:
+                        first = (t & mask, t >> n, got_sum, got_carry)
+                        break
+                report = verify_adder(n, s, circuit=broken)
+                assert report.exhaustive and report.ok == (first is None), (n, k)
+                if first is not None:
+                    assert report.counterexample == (n, s, *first), (n, k)
 
-def _packed_by_bit_loop(n, trials, seed):
-    """verify_adder's former random-mode packing, kept as the reference."""
+    @pytest.mark.parametrize("n", (11, 64, 65, 300))
+    def test_random_counterexample_replays(self, n):
+        # g-init deletion at bit i: a pair fails iff bit i of both a and b is
+        # set, and then the carry into bit i + 1 is lost, so the sum is wrong
+        i = n // 2
+        c = build_adder(n, 2)
+        broken = _without(c, next(k for k, g in enumerate(c.gates)
+                                  if g.toffoli_layer == "g-init"
+                                  and g.qubits[2] == c.registers["g"][i]))
+        for trials in (1, 63, 64, 65, 500):
+            for seed in range(4):
+                pairs = _stream_pairs(n, trials, seed)
+                failing = [(a, b) for a, b in pairs if a >> i & b >> i & 1]
+                report = verify_adder(n, 2, trials=trials, seed=seed, circuit=broken)
+                assert report.ok == (not failing), (trials, seed)
+                if failing:
+                    _, _, a, b, got_sum, got_carry = report.counterexample
+                    assert (a, b) == failing[0], (trials, seed)
+                    assert _replay(broken, a, b)[:2] == (got_sum, got_carry)
+                    assert (got_sum, got_carry) != ((a + b) % (1 << n), (a + b) >> n)
+
+    def test_random_counterexample_past_first_word(self):
+        # an L2 prop deletion fails rarely enough that the seed's first
+        # failing trial lies beyond the first 64, across a word boundary
+        n, trials = 64, 500
+        c = build_adder(n, 2)
+        broken = _without(c, next(k for k, g in enumerate(c.gates)
+                                  if g.toffoli_layer == "L2 prop 1"))
+        for seed in (0, 1):
+            pairs = _stream_pairs(n, trials, seed)
+            report = verify_adder(n, 2, trials=trials, seed=seed, circuit=broken)
+            _, _, a, b, got_sum, got_carry = report.counterexample
+            t = pairs.index((a, b))
+            assert t >= 64, (seed, t)
+            assert not any(_replay(broken, *pair)[2] for pair in pairs[:t])
+            assert _replay(broken, a, b) == (got_sum, got_carry, True)
+
+
+def _without(c, k):
+    """`c` with its gate k deleted."""
+    return QuantumCircuit(c.registers, c.gates[:k] + c.gates[k + 1:], c.n, c.s)
+
+
+def _replay(circuit, a, b):
+    """(sum, carry-out, failed) of one simulated addition; failed if the sum
+    or carry is wrong, a is changed, or a scratch qubit is left set."""
+    got_sum, got_carry, out = run_add(circuit, a, b)
+    n = circuit.n
+    failed = ((got_sum, got_carry) != ((a + b) % (1 << n), (a + b) >> n)
+              or sum(out[q] << i for i, q in enumerate(circuit.registers["a"])) != a
+              or any(out[q] for name, qs in circuit.registers.items()
+                     if name not in ("a", "b", "g") for q in qs))
+    return got_sum, got_carry, failed
+
+
+def _stream_pairs(n, trials, seed):
+    """The (a, b) of each trial of ``random.Random(seed)``'s stream: n bit
+    planes for a, then n for b, with trial t's pair read from bit t."""
     rng = random.Random(seed)
-    pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(trials)]
+    planes = [rng.getrandbits(trials) for _ in range(2 * n)]
+    return [tuple(sum((planes[base + i] >> t & 1) << i for i in range(n)) for base in (0, n))
+            for t in range(trials)]
+
+
+def _packed_by_bit_loop(pairs, n):
+    """Packed a and b registers, bit t of plane i set per bit i of pair t."""
     a_bits = [0] * n
     b_bits = [0] * n
     for t, (av, bv) in enumerate(pairs):
@@ -226,7 +301,9 @@ def _packed_by_bit_loop(n, trials, seed):
 class TestPacking:
     def test_matches_bit_loop(self, monkeypatch):
         # record the packed a and b registers that verify_adder hands to the
-        # gate simulation, and compare them with the per-bit loop
+        # gate simulation, and compare them with the seed's trials packed by
+        # the per-bit loop: a's planes go to the a register, b's to b, and
+        # bit t is trial t
         seen = []
         run = qadder._batch_run
 
@@ -244,8 +321,8 @@ class TestPacking:
                     assert report.ok and report.cases == trials
                     a_bits = [seen[0][q] for q in c.registers["a"]]
                     b_bits = [seen[0][q] for q in c.registers["b"]]
-                    assert (a_bits, b_bits) == _packed_by_bit_loop(n, trials, seed), \
-                        (n, trials, seed)
+                    want = _packed_by_bit_loop(_stream_pairs(n, trials, seed), n)
+                    assert (a_bits, b_bits) == want, (n, trials, seed)
 
 
 class TestResources:
