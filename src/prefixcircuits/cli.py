@@ -203,7 +203,11 @@ def _parse_n_list(text: str) -> list:
         geometric = len(bits) == 3 and bits[2].startswith("*")
         if geometric:
             bits[2] = bits[2][1:]
-        nums = [int(b) for b in bits]
+        try:
+            nums = [int(b) for b in bits]
+        except ValueError:
+            raise ValueError(f"--n-list entry {part!r}: expected n, lo:hi[:step]"
+                             " or lo:hi:*k of integers") from None
         if len(nums) > 3 or min(nums) < 1 or (geometric and nums[2] < 2):
             raise ValueError(f"--n-list entry {part!r}: need n, step >= 1 and factor >= 2")
         lo, hi = nums[0], nums[min(1, len(nums) - 1)]

@@ -271,6 +271,7 @@ def simulate(circuit: QuantumCircuit, initial) -> list:
     for q, v in enumerate(initial):
         if v not in (0, 1):
             raise ValueError(f"qubit {q}: expected 0 or 1, got {v!r}")
+    _check(circuit.layers, circuit.n_qubits)
     return _batch_run(circuit.layers, [int(v) for v in initial], 1)
 
 
@@ -319,12 +320,9 @@ class AdderCheckReport:
 
 def _batch_run(layers: list, vals: list, all_ones: int) -> list:
     """Apply `layers` to `vals`, one integer per qubit (bit t = trial t's
-    value; NOT flips the bits of `all_ones`), gate by gate in order.
-
-    Raises ValueError, through :func:`_check`, for a gate of an unknown kind
-    or on a qubit outside 0..len(vals)-1.
+    value; NOT flips the bits of `all_ones`), gate by gate in order.  The
+    caller has checked the layers against len(vals) with :func:`_check`.
     """
-    _check(layers, len(vals))
     for kind, _, *qs in layers:
         cols = [q.tolist() for q in qs]
         if kind == TOFFOLI:
@@ -337,6 +335,9 @@ def _batch_run(layers: list, vals: list, all_ones: int) -> list:
             for t in cols[0]:
                 vals[t] ^= all_ones
     return vals
+
+
+_BATCH = 17  # log2 of verify_adder's cases per batch: 16 KiB ints stay in cache
 
 
 def _stripe(bit: int, total_bits: int) -> int:
@@ -355,12 +356,15 @@ def verify_adder(n: int, s: int, trials: int = 10000,
     """Check sum, carry-out, and scratch restoration against ripple-carry.
 
     Exhaustive over all (a, b) pairs for n <= 10, otherwise `trials` random
-    pairs. All cases run simultaneously: each qubit's values across cases
-    are packed into one big integer, whose bit t is case t, and the expected
-    sum comes from an independent bitwise ripple-carry over the same packed
-    integers. In random mode ``random.Random(seed)`` draws the bit planes
+    pairs. The cases run in batches of 2**17 (`_BATCH`): each qubit's
+    values across a batch are one integer, whose bit t is the batch's case
+    t, and the expected sum comes from an independent bitwise ripple-carry
+    over the same integers.  The check stops at the first failing batch and
+    reports its first failing case; exhaustive case t is a = t mod 2**n,
+    b = t >> n.  In random mode ``random.Random(seed)`` draws the bit planes
     themselves, n of `trials` bits for a and then n for b, so a seed keeps
-    its bit planes, and so its trials and its counterexample.  Raises
+    its bit planes, and so its trials and its counterexample.  Random mode
+    is a sample: a fault that shows on few inputs can pass it.  Raises
     ValueError for an n or s that `build_adder` rejects (with a `circuit`
     too), for a `trials` that is not an integer, or is below 1 when the
     check is not exhaustive, for a `circuit` whose a, b or g register is not
@@ -373,58 +377,63 @@ def verify_adder(n: int, s: int, trials: int = 10000,
         raise ValueError(f"trials must be >= 1, got {trials}")
     if circuit is None:
         circuit = build_adder(n, s)
-    sizes = [len(circuit.registers.get(r, ())) for r in "abg"]
+    regs = circuit.registers
+    sizes = [len(regs.get(r, ())) for r in "abg"]
     if sizes != [n] * 3:
         raise ValueError(f"circuit registers a, b, g have {sizes} qubits, need n = {n}")
+    _check(circuit.layers, circuit.n_qubits)
     if exhaustive:
         cases = 1 << (2 * n)
-        a_bits = [_stripe(i, 2 * n) for i in range(n)]
-        b_bits = [_stripe(n + i, 2 * n) for i in range(n)]
+        width = min(2 * n, _BATCH)  # input bits 0..width-1 vary within a batch
+        stripes = [_stripe(j, width) for j in range(width)]
     else:
         rng = random.Random(seed)
         cases = trials
-        a_bits = [rng.getrandbits(trials) for _ in range(n)]
-        b_bits = [rng.getrandbits(trials) for _ in range(n)]
-    all_ones = (1 << cases) - 1
+        planes = [rng.getrandbits(trials) for _ in range(2 * n)]
+    size = min(cases, 1 << _BATCH)
+    ins = [*regs["a"], *regs["b"]]
+    carry_q = regs["g"][n - 1]
+    outs = [*ins, carry_q]
+    scratch = [q for name, qs in regs.items() if name not in ("a", "b", "g") for q in qs]
+    for lo in range(0, cases, size):
+        ones = (1 << min(size, cases - lo)) - 1
+        if exhaustive:  # the higher input bits are constant across a batch
+            bits = stripes + [ones if lo >> j & 1 else 0 for j in range(width, 2 * n)]
+        else:
+            bits = planes if size == cases else [p >> lo & ones for p in planes]
 
-    # independent oracle: bitwise ripple-carry on the packed values
-    carry = 0
-    want_sum = []
-    for i in range(n):
-        want_sum.append(a_bits[i] ^ b_bits[i] ^ carry)
-        carry = (a_bits[i] & b_bits[i]) | (carry & (a_bits[i] ^ b_bits[i]))
+        # independent oracle: bitwise ripple-carry on the packed values;
+        # `want` is a (preserved), then the sum, then the carry-out
+        carry = 0
+        want = bits[:n]
+        for x, y in zip(bits[:n], bits[n:]):
+            p = x ^ y
+            want.append(p ^ carry)
+            carry = (x & y) | (carry & p)
+        want.append(carry)
 
-    vals = [0] * circuit.n_qubits
-    for i in range(n):
-        vals[circuit.registers["a"][i]] = a_bits[i]
-        vals[circuit.registers["b"][i]] = b_bits[i]
-    _batch_run(circuit.layers, vals, all_ones)
+        vals = [0] * circuit.n_qubits
+        for q, v in zip(ins, bits):
+            vals[q] = v
+        _batch_run(circuit.layers, vals, ones)
 
-    bad = 0
-    for i in range(n):
-        bad |= vals[circuit.registers["a"][i]] ^ a_bits[i]  # a preserved
-        bad |= vals[circuit.registers["b"][i]] ^ want_sum[i]  # sum correct
-    bad |= vals[circuit.registers["g"][n - 1]] ^ carry  # carry-out correct
-    for name, qs in circuit.registers.items():
-        if name in ("a", "b", "g"):
-            continue
-        for q in qs:  # scratch restored
-            bad |= vals[q]
-
-    if not bad:
-        return AdderCheckReport(n, s, exhaustive, cases, True, None)
-    t = (bad & -bad).bit_length() - 1
-    if exhaustive:
-        av = t & ((1 << n) - 1)
-        bv = t >> n
-    else:
-        av = sum((a_bits[i] >> t & 1) << i for i in range(n))
-        bv = sum((b_bits[i] >> t & 1) << i for i in range(n))
-    # bit t of vals[q] is qubit q's final value in case t
-    got_sum = sum((vals[q] >> t & 1) << i for i, q in enumerate(circuit.registers["b"]))
-    got_carry = vals[circuit.registers["g"][n - 1]] >> t & 1
-    return AdderCheckReport(n, s, exhaustive, cases, False,
-                            (n, s, av, bv, got_sum, got_carry))
+        bad = 0
+        for q, w in zip(outs, want):
+            if vals[q] != w:  # a compare allocates nothing; an XOR would
+                bad |= vals[q] ^ w
+        for q in scratch:  # scratch restored
+            if vals[q]:
+                bad |= vals[q]
+        if bad:
+            t = (bad & -bad).bit_length() - 1
+            # bit t of bits[j] and vals[q] is input bit j and qubit q's final
+            # value in case lo + t
+            av, bv = (sum((v >> t & 1) << i for i, v in enumerate(bits[k:k + n]))
+                      for k in (0, n))
+            got_sum = sum((vals[q] >> t & 1) << i for i, q in enumerate(regs["b"]))
+            return AdderCheckReport(n, s, exhaustive, cases, False,
+                                    (n, s, av, bv, got_sum, vals[carry_q] >> t & 1))
+    return AdderCheckReport(n, s, exhaustive, cases, True, None)
 
 
 # -- export ---------------------------------------------------------------------

@@ -5,11 +5,14 @@ test_qadder.py and criterion 10's estimator check compare against: `build_adder`
 gate by gate with `_DepthCounter`, and `netlist` and `simulate` walk the
 gates one at a time.  The layer builder is kept as it was too, so the
 reference does not share the code under test.  `inverse` reverses a
-library circuit's layers, for the reversibility test.
+library circuit's layers, for the reversibility test.  `verify_unbatched`
+is `verify_adder` as it was before it ran its cases in batches: one integer
+per qubit over all the cases, simulated gate by gate.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import chain
 from operator import itemgetter
 from typing import Sequence
@@ -21,6 +24,7 @@ from prefixcircuits.qadder import (
     CNOT,
     NOT,
     TOFFOLI,
+    AdderCheckReport,
     AdderResources,
     Gate,
     LayerOverlapError,
@@ -280,3 +284,74 @@ def inverse(circuit: qadder.QuantumCircuit) -> qadder.QuantumCircuit:
         circuit.registers,
         [(kind, label, *(q[::-1] for q in qs)) for kind, label, *qs in reversed(circuit.layers)],
         circuit.n, circuit.s)
+
+
+def _stripe(bit: int, total_bits: int) -> int:
+    """Bitmask of enumeration indices whose `bit` is set, over 2**total_bits."""
+    run = 1 << bit
+    mask = ((1 << run) - 1) << run
+    width = run * 2
+    while width < (1 << total_bits):
+        mask |= mask << width
+        width *= 2
+    return mask
+
+
+def verify_unbatched(n: int, s: int, trials: int = 10000, seed: int = 0,
+                     circuit: qadder.QuantumCircuit = None) -> AdderCheckReport:
+    """verify_adder's report from all its cases at once: each qubit's values
+    across every case are one integer, whose bit t is case t.  Exhaustive
+    for n <= 10 (case t is a = t mod 2**n, b = t >> n), otherwise `trials`
+    pairs whose 2n bit planes ``random.Random(seed)`` draws, a's first."""
+    exhaustive = n <= 10
+    if circuit is None:
+        circuit = qadder.build_adder(n, s)
+    if exhaustive:
+        cases = 1 << (2 * n)
+        a_bits = [_stripe(i, 2 * n) for i in range(n)]
+        b_bits = [_stripe(n + i, 2 * n) for i in range(n)]
+    else:
+        rng = random.Random(seed)
+        cases = trials
+        a_bits = [rng.getrandbits(trials) for _ in range(n)]
+        b_bits = [rng.getrandbits(trials) for _ in range(n)]
+    all_ones = (1 << cases) - 1
+
+    # independent oracle: bitwise ripple-carry on the packed values
+    carry = 0
+    want_sum = []
+    for i in range(n):
+        want_sum.append(a_bits[i] ^ b_bits[i] ^ carry)
+        carry = (a_bits[i] & b_bits[i]) | (carry & (a_bits[i] ^ b_bits[i]))
+
+    vals = [0] * circuit.n_qubits
+    for i in range(n):
+        vals[circuit.registers["a"][i]] = a_bits[i]
+        vals[circuit.registers["b"][i]] = b_bits[i]
+    _batch_run(list(circuit.gates), vals, all_ones)
+
+    bad = 0
+    for i in range(n):
+        bad |= vals[circuit.registers["a"][i]] ^ a_bits[i]  # a preserved
+        bad |= vals[circuit.registers["b"][i]] ^ want_sum[i]  # sum correct
+    bad |= vals[circuit.registers["g"][n - 1]] ^ carry  # carry-out correct
+    for name, qs in circuit.registers.items():
+        if name in ("a", "b", "g"):
+            continue
+        for q in qs:  # scratch restored
+            bad |= vals[q]
+
+    if not bad:
+        return AdderCheckReport(n, s, exhaustive, cases, True, None)
+    t = (bad & -bad).bit_length() - 1
+    if exhaustive:
+        av = t & ((1 << n) - 1)
+        bv = t >> n
+    else:
+        av = sum((a_bits[i] >> t & 1) << i for i in range(n))
+        bv = sum((b_bits[i] >> t & 1) << i for i in range(n))
+    # bit t of vals[q] is qubit q's final value in case t
+    got_sum = sum((vals[q] >> t & 1) << i for i, q in enumerate(circuit.registers["b"]))
+    got_carry = vals[circuit.registers["g"][n - 1]] >> t & 1
+    return AdderCheckReport(n, s, exhaustive, cases, False,
+                            (n, s, av, bv, got_sum, got_carry))

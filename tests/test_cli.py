@@ -55,6 +55,15 @@ def test_exit_codes(capsys, argv, code):
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n_list, entry", [
+    ("8,", "''"), ("8,x", "'x'"), ("2:x", "'2:x'"), ("2:8:*x", "'2:8:*x'")])
+def test_n_list_entry_not_an_integer(capsys, n_list, entry):
+    # int()'s own message named neither the option nor the entry
+    assert run(capsys, "table", "--n-list", n_list) == (
+        2, "", f"error: --n-list entry {entry}: expected n, lo:hi[:step] or lo:hi:*k"
+               " of integers\n")
+
+
 def src_env() -> dict:
     """The environment of a fresh interpreter that imports this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")

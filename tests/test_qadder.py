@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -324,6 +325,111 @@ class TestPacking:
                     want = _packed_by_bit_loop(_stream_pairs(n, trials, seed), n)
                     assert (a_bits, b_bits) == want, (n, trials, seed)
 
+    def test_batches_are_plane_slices(self, monkeypatch):
+        # past 2**_BATCH trials each batch's a and b registers get bits
+        # lo..lo+2**_BATCH-1 of the seed's planes, the last batch the rest
+        seen = []
+        run = qadder._batch_run
+
+        def spy(gates, vals, all_ones):
+            seen.append((list(vals), all_ones))
+            return run(gates, vals, all_ones)
+
+        monkeypatch.setattr(qadder, "_batch_run", spy)
+        n, size = 11, 1 << qadder._BATCH
+        c = build_adder(n, 2)
+        for trials in (size + 1, 2 * size + 3):
+            seen.clear()
+            assert verify_adder(n, 2, trials=trials, seed=5, circuit=c).ok
+            rng = random.Random(5)
+            planes = [rng.getrandbits(trials) for _ in range(2 * n)]
+            assert [ones.bit_length() for _, ones in seen] == [
+                min(size, trials - lo) for lo in range(0, trials, size)]
+            for lo, (vals, ones) in zip(range(0, trials, size), seen, strict=True):
+                got = [vals[q] for q in (*c.registers["a"], *c.registers["b"])]
+                assert got == [p >> lo & ones for p in planes], (trials, lo)
+
+
+def _first_trial(n, trials, seed, a, b):
+    """Index of the first trial of the seed's stream whose pair is (a, b)."""
+    rng = random.Random(seed)
+    planes = [rng.getrandbits(trials) for _ in range(2 * n)]
+    match = (1 << trials) - 1
+    for i, p in enumerate(planes):
+        match &= p if (a, b)[i >= n] >> (i % n) & 1 else ~p
+    return (match & -match).bit_length() - 1
+
+
+class TestBatches:
+    """verify_adder runs its cases in batches of 2**_BATCH, stopping at the
+    first failing batch; its report is the one the all-cases-at-once
+    reference gives, a first failure past the first batch included."""
+
+    @pytest.mark.parametrize("s", (2, 3, 4))
+    @pytest.mark.parametrize("n", (9, 10))
+    def test_exhaustive_equals_unbatched(self, n, s):
+        # the intact adder and every single-Toffoli deletion
+        c = build_adder(n, s)
+        for k in (None, *(k for k, g in enumerate(c.gates) if g.kind == TOFFOLI)):
+            circuit = c if k is None else _without(c, k)
+            want = qadder_reference.verify_unbatched(n, s, circuit=circuit)
+            assert verify_adder(n, s, circuit=circuit) == want, k
+            assert want.ok == (k is None), k
+
+    @pytest.mark.parametrize("s", (2, 3, 4))
+    def test_exhaustive_failure_past_first_batch(self, s):
+        # without the g-init Toffoli at bit 7 a pair fails iff a7 = b7 = 1;
+        # b7 is bit 17 of the case index, so the first failure is case
+        # 2**17 + 2**7, in the second batch
+        n = 10
+        c = build_adder(n, s)
+        broken = _without(c, next(k for k, g in enumerate(c.gates)
+                                  if g.toffoli_layer == "g-init"
+                                  and g.qubits[2] == c.registers["g"][7]))
+        report = verify_adder(n, s, circuit=broken)
+        _, _, a, b, got_sum, got_carry = report.counterexample
+        assert a + (b << n) == (1 << 17) + (1 << 7) >= 1 << qadder._BATCH
+        assert _replay(broken, a, b) == (got_sum, got_carry, True)
+        assert report == qadder_reference.verify_unbatched(n, s, circuit=broken)
+
+    @pytest.mark.parametrize("trials", (2**17 - 1, 2**17, 2**17 + 1, 3 * 2**17 + 5))
+    def test_random_equals_unbatched(self, trials):
+        # the intact adder and its L3-L5 Toffoli deletions, which fail rarely
+        n = 64
+        c = build_adder(n, 2)
+        for k in (None, *(k for k, g in enumerate(c.gates)
+                          if g.kind == TOFFOLI and re.match(r"L[3-5] ", g.toffoli_layer))):
+            circuit = c if k is None else _without(c, k)
+            want = qadder_reference.verify_unbatched(n, 2, trials=trials, seed=2,
+                                                     circuit=circuit)
+            assert verify_adder(n, 2, trials=trials, seed=2, circuit=circuit) == want, k
+
+    def test_random_failure_past_first_batch(self):
+        # seed 2 first fails the first L3 prop 1 deletion at trial 153027
+        n, trials, seed = 64, 3 * 2**17 + 5, 2
+        c = build_adder(n, 2)
+        broken = _without(c, next(k for k, g in enumerate(c.gates)
+                                  if g.toffoli_layer == "L3 prop 1"))
+        report = verify_adder(n, 2, trials=trials, seed=seed, circuit=broken)
+        _, _, a, b, got_sum, got_carry = report.counterexample
+        assert _first_trial(n, trials, seed, a, b) == 153027 >= 1 << qadder._BATCH
+        assert _replay(broken, a, b) == (got_sum, got_carry, True)
+        assert report == qadder_reference.verify_unbatched(n, 2, trials=trials, seed=seed,
+                                                           circuit=broken)
+
+    @pytest.mark.parametrize("s", (2, 3, 4))
+    def test_peak_memory_bounded(self, s):
+        """An exhaustive n = 10 check holds a few dozen 16 KiB batch ints,
+        not one 128 KiB int per qubit (7.9-8.0 MiB unbatched).  tracemalloc
+        peaks repeat exactly."""
+        tracemalloc.start()
+        try:
+            assert verify_adder(10, s).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20, peak
+
 
 class TestResources:
     def test_empty_circuit(self):
@@ -469,11 +575,13 @@ class TestReversibility:
 
 
 class TestGateCheck:
-    """simulate (through _batch_run), resources and netlist reject the same
-    malformed gates with the same messages, from one check."""
+    """simulate, resources and netlist reject the same malformed gates with
+    the same messages, from one check.  "batch_run" is the gate simulation,
+    reached through simulate, which checks before _batch_run runs the
+    layers (verify_adder checks once before its batches)."""
 
     CONSUMERS = {
-        "batch_run": lambda c: qadder._batch_run(c.layers, [0] * c.n_qubits, 1),
+        "batch_run": lambda c: simulate(c, [0] * c.n_qubits),
         "resources": resources,
         "netlist": netlist,
     }
