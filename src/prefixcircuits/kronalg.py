@@ -95,12 +95,16 @@ def prefix_via_kron(x, n1: int, n2: int) -> np.ndarray:
     column totals; it is computed as column sums followed by an exclusive
     scan, never as a full n x n multiply.  Exact integers; must equal the
     serial fold.  ValueError for an x that is not a 1-D array of integers,
-    or whose sum of |x|, which bounds every prefix sum, leaves int64.
+    or whose sum of |x|, which bounds every prefix sum, leaves int64, and
+    for an n1 or n2 below 1.
     """
     x = _int_array("x", x)
     if x.ndim != 1:
         raise ValueError(f"x: expected a 1-D array, got shape {x.shape}")
-    if _as_int("n1", n1) * _as_int("n2", n2) != len(x):
+    n1, n2 = _as_int("n1", n1), _as_int("n2", n2)
+    if min(n1, n2) < 1:
+        raise ValueError(f"n1 and n2 must be >= 1, got n1 = {n1}, n2 = {n2}")
+    if n1 * n2 != len(x):
         raise ValueError(f"n1*n2 = {n1 * n2} != len(x) = {len(x)}")
     if (bound := sum(map(abs, x.tolist()))) > _INT64_MAX:
         raise ValueError(f"x: sum of |x| = {bound} is above the int64 maximum {_INT64_MAX}")

@@ -4,17 +4,18 @@ Computes ``b <- (a + b) mod 2**n`` in-place over NOT/CNOT/Toffoli gates,
 with the per-position carries retained in the ``g`` register (``g[n-1]`` is
 the overall carry-out) and every scratch register restored to zero.
 
-Structure, mirroring the blocked prefix circuit level by level:
+Structure, following :func:`.kronecker.reblocked_circuit` level by level:
 
 * ``g[i] <- a[i] AND b[i]`` (one Toffoli layer), then ``b <- a XOR b``
   (CNOT layer), so ``b`` holds the propagate bits.
-* Carry recursion on blocks of s positions: within-block Toffoli chains
-  extend generate spans (the chain of block 0 is seeded by the already
-  complete carry and finishes its block outright); propagate products for
-  the surviving block totals are accumulated into fresh ancillas; the
-  recursion completes the block boundaries; one finalize layer completes
-  everything else, fanning the boundary carry out through CNOT copies so
-  the layer stays disjoint.  Scratch products are uncomputed in reverse.
+* Carry recursion on M positions: for a power of s, the recursion on
+  M - 1 and one ``L{t} last`` Toffoli; otherwise within-block Toffoli
+  chains extend generate spans (block 0's, seeded by the complete carry,
+  finishes its block), propagate products of the blocks past the first go
+  into fresh ancillas, the recursion completes the totals of every block
+  but the last, and one finalize layer completes every other position,
+  fanning each block's carry out through CNOT copies so the layer stays
+  disjoint.  Scratch products are uncomputed in reverse.
 * ``b[i] <- b[i] XOR g[i-1]`` (CNOT layer) turns propagates into sum bits.
 
 A :class:`QuantumCircuit` is its registers and its layers, each step above
@@ -44,7 +45,7 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from .core import _as_int
-from .kronecker import _check_params
+from .kronecker import _check_params, _is_power_of
 
 NOT = "NOT"
 CNOT = "CNOT"
@@ -181,10 +182,11 @@ def _check(layers: list, n_qubits: int, disjoint: bool = False):
 
 def build_adder(n: int, s: int) -> QuantumCircuit:
     """The adder as whole parallel layers, the gates of each on distinct
-    qubits; a layer's label is its Toffoli layer label, None for CNOT
-    layers.  Registers are ranges: a, b, g, then the propagate products
-    ``p{t}`` in recursion order, then the copy pool z that every level
-    reuses.
+    qubits; level t is level t of ``reblocked_circuit(n, s)``.  A layer's
+    label is its Toffoli layer label (``g-init``, ``L{t} chain k``, ``prop
+    k``, ``fin``, ``unprop k``, ``last``), None for CNOT layers.  Registers
+    are ranges: a, b, g, then the propagate products ``p{t}`` in recursion
+    order, then the copy pool z that every level reuses.
     """
     n, s = _check_params(n, s)
     a = np.arange(n)
@@ -197,6 +199,10 @@ def build_adder(n: int, s: int) -> QuantumCircuit:
     def level(t: int, gq, pq):
         nonlocal free, pool
         M = len(gq)
+        if M > s and _is_power_of(M, s):  # the level for M - 1, then one gate
+            level(t, gq[:-1], pq[:-1])
+            layers.append((TOFFOLI, f"L{t} last", gq[-2:-1], pq[-1:], gq[-1:]))
+            return
         # up: within-block generate chains (block 0's chain completes carries)
         for k in range(1, min(s, M)):
             layers.append((TOFFOLI, f"L{t} chain {k}", gq[k - 1:M - 1:s], pq[k::s], gq[k::s]))
@@ -215,26 +221,24 @@ def build_adder(n: int, s: int) -> QuantumCircuit:
                             for k in range(1, s)]
         props = [(k, chi[k - 1][:last[k]], pq[s + k::s], chi[k][:last[k]])
                  for k in range(1, s)]
-        block_p = pq[::s].copy()  # a block's propagate: its chain's last product
-        for k, *_, prod in props:
-            block_p[1:last[k] + 1] = prod
         layers.extend((TOFFOLI, f"L{t} prop {k}", *qs) for k, *qs in props)
-        top = gq[s - 1::s]  # each full block's last position
-        level(t + 1, top if M % s == 0 else np.concatenate((top, gq[-1:])), block_p)
-        # down: finalize every non-boundary position of the blocks past the
-        # first, fanning each block's incoming carry out through CNOT copies
-        # into the pool (allocated after every p register) so the layer
-        # stays disjoint
-        copies, fin = [], []
-        for k in range(s - 1):
-            m = last[k + 1]
-            ctrl = top[:m]
+        top = gq[s - 1:s * (B - 1):s]  # the totals of blocks 0..B-2, all full
+        # block j's propagate is chi[s-1][j-1]; block 0's is never read
+        level(t + 1, top, np.concatenate((pq[:1], chi[-1][:B - 2])))
+        # down: finalize position k of blocks 1..last[k] (at k = s-1 the last
+        # block's only: the others' are middle totals), fanning each block's
+        # carry out through CNOT copies into the pool so the layer stays disjoint
+        copies, fin, used = [], [], 0
+        for k in range(s):
+            j = slice(B - 2 if k == s - 1 else 0, last[k])  # blocks 1 + j
+            ctrl = top[j]
             if k:
-                z = np.arange(free + k - 1, free + k - 1 + m * (s - 2), s - 2)
+                z = np.arange(free + used, free + used + len(ctrl))
+                used += len(z)
                 copies.append((CNOT, None, ctrl, z))
                 ctrl = z
-            fin.append((ctrl, chi[k][:m], gq[s + k::s][:m]))
-        pool = max(pool, sum(len(c[3]) for c in copies))
+            fin.append((ctrl, chi[k][j], gq[s + k::s][j]))
+        pool = max(pool, used)
         layers.extend(copies)
         layers.append((TOFFOLI, f"L{t} fin", *map(np.concatenate, zip(*fin))))
         layers.extend(reversed(copies))

@@ -1,13 +1,16 @@
 """The gate-list form of the adder that qadder.py used before a circuit
-became its layers, kept verbatim as the reference the differential tests in
-test_qadder.py and criterion 10's estimator check compare against: `build_adder` expands the layers into one
-`Gate` tuple per gate, `resources` checks layer overlaps and counts depth
-gate by gate with `_DepthCounter`, and `netlist` and `simulate` walk the
-gates one at a time.  The layer builder is kept as it was too, so the
-reference does not share the code under test.  `inverse` reverses a
+became its layers, the reference the differential tests in test_qadder.py
+and criterion 10's estimator check compare against: `build_adder` expands
+the layers into one `Gate` tuple per gate, `resources` checks layer
+overlaps and counts depth gate by gate with `_DepthCounter`, and `netlist`
+and `simulate` walk the gates one at a time.  The layer builder
+`_adder_layers` is written apart too, with index arrays and masks where the
+library slices, so the reference does not share the code under test; it
+follows the recursion of `reblocked_circuit`.  `inverse` reverses a
 library circuit's layers, for the reversibility test.  `verify_unbatched`
 is `verify_adder` as it was before it ran its cases in batches: one integer
-per qubit over all the cases, simulated gate by gate.
+per qubit over all the cases, simulated gate by gate.  `certify` checks an
+adder for all inputs at once, with symbolic carry spans.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from prefixcircuits.qadder import (
     Gate,
     LayerOverlapError,
 )
+
+from kronecker_reference import is_power
 
 _KINDS = frozenset((NOT, CNOT, TOFFOLI))
 
@@ -126,6 +131,10 @@ def _adder_layers(n: int, s: int):
     def level(t: int, gq, pq):
         nonlocal free, pool
         M = len(gq)
+        if M > s and is_power(M, s):  # the level for M - 1, then one gate
+            level(t, gq[:-1], pq[:-1])
+            layers.append((TOFFOLI, f"L{t} last", gq[[M - 2]], pq[[M - 1]], gq[[M - 1]]))
+            return
         # up: within-block generate chains (block 0's chain completes carries)
         for k in range(1, s):
             i = np.arange(k, M, s)
@@ -142,27 +151,28 @@ def _adder_layers(n: int, s: int):
         registers[f"p{t + 1}"] = range(base, free)
         chi = [pq[j * s]] + [base + (j - 1) * (s - 1) + (k - 1) for k in range(1, s)]
         props = []
-        block_p = pq[::s].copy()  # a block's propagate: its chain's last product
         for k in range(1, s):
             m = np.count_nonzero(j * s + k < M)  # blocks with a position k
             props.append((k, chi[k - 1][:m], pq[j[:m] * s + k], chi[k][:m]))
-            block_p[j[:m]] = chi[k][:m]
         layers.extend((TOFFOLI, f"L{t} prop {k}", *qs) for k, *qs in props)
-        level(t + 1, gq[np.minimum(np.arange(B) * s + s - 1, M - 1)], block_p)
-        # down: finalize every non-boundary position of the blocks past the
-        # first, fanning each block's incoming carry out through CNOT copies
-        # into the pool (allocated after every p register) so the layer
-        # stays disjoint
-        copies, fin = [], []
-        for k in range(s - 1):
-            jj = j[j * s + k + 1 < M]
+        # the middle reads the last position of the full blocks 0..B-2, with
+        # propagates pq[0] (never read) and each block's product over all s
+        full = np.arange(B - 1)
+        level(t + 1, gq[full * s + s - 1], np.r_[pq[0], chi[s - 1][full[1:] - 1]])
+        # down: finalize every position of the blocks past the first that is
+        # not a middle total, each block's incoming carry fanned out through
+        # CNOT copies into the pool (allocated after every p register)
+        copies, fin, used = [], [], 0
+        for k in range(s):
+            jj = j[(j * s + k < M) & ((k < s - 1) | (j == B - 1))]
             ctrl = gq[jj * s - 1]
             if k:
-                z = free + (jj - 1) * (s - 2) + (k - 1)
+                z = free + used + np.arange(len(jj))
+                used += len(jj)
                 copies.append((CNOT, None, ctrl, z))
                 ctrl = z
-            fin.append((ctrl, chi[k][: len(jj)], gq[jj * s + k]))
-        pool = max(pool, sum(len(c[3]) for c in copies))
+            fin.append((ctrl, chi[k][jj - 1], gq[jj * s + k]))
+        pool = max(pool, used)
         layers.extend(copies)
         layers.append((TOFFOLI, f"L{t} fin", *map(np.concatenate, zip(*fin))))
         layers.extend(reversed(copies))
@@ -355,3 +365,64 @@ def verify_unbatched(n: int, s: int, trials: int = 10000, seed: int = 0,
     got_carry = vals[circuit.registers["g"][n - 1]] >> t & 1
     return AdderCheckReport(n, s, exhaustive, cases, False,
                             (n, s, av, bv, got_sum, got_carry))
+
+
+# -- all-inputs certificate: symbolic carry spans -------------------------------
+#
+# A value is None (the constant 0) or (letter, i, j): A(i) and B(i) are the
+# input bits (i == j), P(i..j) and G(i..j) the propagate and generate of the
+# positions i..j, and S(i) the sum bit.  Every rule below is an exact
+# Boolean identity, so a circuit whose every gate fits one and whose end
+# state is the adder's adds every one of the 2^(2n) input pairs.  The rules
+# are Brent and Kung's carry operator on spans (IEEE Trans. Computers C-31,
+# 1982).  The check is sound, not complete: a correct adder built from other
+# identities is refused.
+
+
+def _span_rule(kind, ctrls, t):
+    """The value a gate leaves on its target, whose value is `t`, from its
+    controls' values `ctrls`; False where no identity fits."""
+    if None in ctrls:
+        return False
+    if kind == CNOT:
+        c = ctrls[0]
+        if t is None or t == c:  # a copy into 0, or the copy undone
+            return None if t else c
+        if (c[0], t[0]) == ("A", "B") and c[1:] == t[1:]:  # a XOR b = P(i..i)
+            return ("P", *t[1:])
+        if (c[:2], t[0]) == (("G", 0), "P") and t[1] == t[2] == c[2] + 1:
+            return ("S", *t[1:])  # P(i..i) XOR the carry G(0..i-1)
+        return False
+    if kind != TOFFOLI:
+        return False
+    x, y = sorted(ctrls, key=itemgetter(1))  # x starts first
+    if {x[0], y[0]} == {"A", "B"} and x[1:] == y[1:]:
+        f = ("G", *x[1:])  # a AND b
+    elif x[2] + 1 != y[1]:
+        return False  # spans that do not abut
+    elif x[0] == y[0] == "P":
+        f = ("P", x[1], y[2])
+    elif (x[0], y[0]) == ("G", "P") and t == ("G", *y[1:]):
+        # G(x..y) = G(y) OR G(x) P(y), and the OR is an XOR as G(y) P(y) = 0
+        return ("G", x[1], y[2])
+    else:
+        return False
+    return f if t is None else None if t == f else False
+
+
+def certify(circuit: qadder.QuantumCircuit) -> bool:
+    """True iff every gate fits a span identity and, at the end, a holds A,
+    b[0] P(0..0), b[i] S(i), g[i] G(0..i), and every other qubit 0."""
+    regs = circuit.registers
+    val = [None] * circuit.n_qubits
+    for i, (qa, qb) in enumerate(zip(regs["a"], regs["b"])):
+        val[qa], val[qb] = ("A", i, i), ("B", i, i)
+    for kind, _, *qs in circuit.layers:
+        for *ctrls, t in zip(*(q.tolist() for q in qs)):
+            val[t] = _span_rule(kind, [val[c] for c in ctrls], val[t])
+            if val[t] is False:
+                return False
+    want = {q: ("A", i, i) for i, q in enumerate(regs["a"])}
+    want.update((q, ("S", i, i) if i else ("P", 0, 0)) for i, q in enumerate(regs["b"]))
+    want.update((q, ("G", 0, i)) for i, q in enumerate(regs["g"]))
+    return all(v == want.get(q) for q, v in enumerate(val))

@@ -6,14 +6,17 @@ propagate products (``tests/test_qadder.py::TestUnpropCause`` checks this):
 
 * criterion 10 (count clause): the ``unprop`` phase mirrors the ``prop``
   phase, about n Toffolis, and is the whole overrun -- without it every
-  (n, s) of the sweep stays within 4n, with it the count reaches 4.99n and
-  the 4n cap is first crossed at (20, s=2, 81 Toffolis).
+  (n, s) of the sweep stays within 4n, with it the count reaches 4.98n and
+  the 4n cap is first crossed at (26, s=2, 105 Toffolis): 12208
+  violations over the sweep.
 * criterion 10 (depth clause, s in {3, 4}): each level's uncompute waits
   for the level below, a serial cascade of s - 1 layers per level of which
   the finalize cascade hides one, so the uncompute adds up to s - 2 layers
   per level (none for s = 2).  s*ceil(log_s n) + 2 is first exceeded at
-  n = 73 for s = 3 and n = 45 for s = 4.  Costing the ``unprop`` Toffolis
-  at zero depth, with their data dependences kept, meets the clause.
+  n = 175 for s = 3 and n = 49 for s = 4 (depth 15 against 14): 7112
+  violations over the sweep.  At n = 2**20 the depth is 40 / 49 / 57 for
+  s = 2 / 3 / 4.  Costing the ``unprop`` Toffolis at zero depth, with
+  their data dependences kept, meets the clause.
 
 That costing is measurement-based uncompute (Gidney, arXiv:1709.06648), a
 different gate set from the NOT/CNOT/Toffoli one these tests measure;
@@ -327,7 +330,7 @@ def test_criterion_10_toffoli_depth(resource_sweep):
 
 def test_criterion_10_toffoli_count(resource_sweep):
     # Faithful to the stated 4n cap; the restoring adder needs ~5n - O(log n)
-    # Toffolis, so this is exceeded from n ~ 20 (see module docstring).
+    # Toffolis, so this is exceeded from n = 26 (see module docstring).
     bad = [(n, s, r.toffoli_count) for (n, s), r in resource_sweep.items()
            if r.toffoli_count > 4 * n]
     report("10 (count)", not bad,
@@ -335,8 +338,8 @@ def test_criterion_10_toffoli_count(resource_sweep):
 
 
 def test_criterion_10_ancillas(resource_sweep):
-    # measured constant frozen as a golden value: ancillas/n peaks at 2.495
-    # over the sweep (worst at small s=4 sizes), so c = 2.5
+    # measured constant frozen as a golden value: ancillas/n peaks at 2.494
+    # over the sweep (at (4092, 4)), so c = 2.5
     worst = max(r.ancilla_count / n for (n, s), r in resource_sweep.items())
     report("10 (ancillas)", worst <= 2.5, f"max ancillas/n = {worst:.3f}")
 

@@ -177,19 +177,20 @@ n,recursion_depth,depth/log2(n),built_depth
 27,8,1.6825,11
 81,11,1.7351,29
 """
+# the adder at (8, 2), 8 = 2**3 taking the power-of-s step
 RESOURCES_8_2 = """\
 n=8 s=2
-toffoli_count: measured=27 (linear-bound 4n=32)
+toffoli_count: measured=21 (linear-bound 4n=32)
 toffoli_depth: measured=6 (bound s*ceil(log_s n)+2=8)
-ancillas: measured=12
+ancillas: measured=10
 """
 RESOURCES_8_2_JSON = """\
 {
  "n": 8,
  "s": 2,
- "toffoli_count": 27,
+ "toffoli_count": 21,
  "toffoli_depth": 6,
- "ancillas": 12
+ "ancillas": 10
 }
 """
 

@@ -372,6 +372,10 @@ DATA_ARGS = [
      r"^x: expected a 1-D array, got shape \(\)$"),
     ("prefix_via_kron", lambda: pc.prefix_via_kron([[1, 2], [3, 4]], 2, 1), ValueError,
      r"^x: expected a 1-D array, got shape \(2, 2\)$"),
+    ("prefix_via_kron", lambda: pc.prefix_via_kron([1, 2], -1, -2), ValueError,
+     r"^n1 and n2 must be >= 1, got n1 = -1, n2 = -2$"),
+    ("prefix_via_kron", lambda: pc.prefix_via_kron([], 0, 5), ValueError,
+     r"^n1 and n2 must be >= 1, got n1 = 0, n2 = 5$"),
     ("evaluate", lambda: pc.evaluate(pc.serial(4), [1, 2, 3], operator.add), ValueError,
      r"^expected 4 inputs, got 3$"),
     ("simulate", lambda: pc.simulate(c := pc.build_adder(2, 2), [2] * c.n_qubits),

@@ -4,6 +4,7 @@ import random
 import re
 import tracemalloc
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefixcircuits import qadder
-from prefixcircuits.kronecker import kronecker_depth_bound
+from prefixcircuits.core import _forest_roots
+from prefixcircuits.kronecker import kronecker_depth_bound, reblocked_circuit
 from prefixcircuits.qadder import (
     CNOT,
     NOT,
@@ -561,6 +563,91 @@ class TestUnpropCause:
                 assert counter.toffoli_depth <= bound, (n, s)
         # the grid shows both overruns, so the checks above are not vacuous
         assert count_over and depth_over, (count_over, depth_over)
+
+
+# s in 2..5 at every n below 200 and at powers of 3, 4 and 5 among others
+PAPER_GRID = [(n, s) for s in range(2, 6)
+              for n in [*range(2, 200), 243, 256, 625, 729, 1024, 4096]]
+
+
+def _generate_edges(c):
+    """(source column, target column) of each chain, fin and last Toffoli:
+    the g positions of its first control, traced back through a pool copy,
+    and of its target."""
+    g0, src, edges = c.registers["g"][0], {}, Counter()
+    for kind, label, *qs in c.layers:
+        cols = [q.tolist() for q in qs]
+        if kind == CNOT:
+            src.update(zip(cols[1], cols[0]))  # a copy's target -> its control
+        elif label.split()[1:2] in (["chain"], ["fin"], ["last"]):
+            edges.update((src.get(c1, c1) - g0, t - g0) for c1, _, t in zip(*cols))
+    return edges
+
+
+class TestPaperCircuit:
+    """The adder's generate Toffolis are reblocked_circuit(n, s)'s gates,
+    the paper's zero-deficiency family, and the span certificate of
+    tests/qadder_reference.py proves each built adder for all inputs."""
+
+    def test_generate_toffolis_are_reblocked_circuit(self):
+        bad = []
+        for n, s in PAPER_GRID:
+            p = reblocked_circuit(n, s)
+            col = _forest_roots(n, p._rights)  # the last input of a wire's span
+            want = Counter(zip(col[p._lefts].tolist(), col[p._rights].tolist()))
+            if _generate_edges(build_adder(n, s)) != want:
+                bad.append((n, s))
+        assert bad == [], (len(bad), bad[:5])
+
+    def test_certifies_every_built_adder(self):
+        bad = [(n, s) for n, s in PAPER_GRID if not qadder_reference.certify(build_adder(n, s))]
+        assert bad == [], bad[:5]
+
+    def test_certificate_agrees_with_exhaustive_check(self):
+        # every single-gate deletion at n <= 8: refused iff verify_adder fails it
+        count = 0
+        for s in (2, 3, 4):
+            for n in range(2, 9):
+                c = build_adder(n, s)
+                for k in range(len(c.gates)):
+                    broken = _without(c, k)
+                    ok = verify_adder(n, s, circuit=broken).ok
+                    assert qadder_reference.certify(broken) == ok, (n, s, k)
+                    count += 1
+        assert count == 467
+
+    def test_certificate_agrees_on_rewired_controls(self):
+        # each Toffoli control moved to a nearby qubit the gate does not use:
+        # spans that do not abut, or a wrong kind, are refused iff wrong
+        count = 0
+        for s in (2, 3):
+            for n in range(2, 8):
+                c = build_adder(n, s)
+                for li, (kind, label, *qs) in enumerate(c.layers):
+                    if kind != TOFFOLI:
+                        continue
+                    for gi, pos, d in product(range(len(qs[0])), (0, 1), (1, -1, 2)):
+                        q = int(qs[pos][gi]) + d
+                        if not 0 <= q < c.n_qubits or q in (int(x[gi]) for x in qs):
+                            continue
+                        layers = [(k, lb, *(a.copy() for a in qa)) for k, lb, *qa in c.layers]
+                        layers[li][2 + pos][gi] = q
+                        m = QuantumCircuit.from_layers(c.registers, layers, n, s)
+                        ok = verify_adder(n, s, circuit=m).ok
+                        assert qadder_reference.certify(m) == ok, (n, s, label, gi, pos, q)
+                        count += 1
+        assert count == 613
+
+    def test_certificate_sees_what_sampling_misses(self):
+        # each L3 prop 1 deletion of (64, 2) fails only where two adjacent
+        # propagate spans are all ones, and passes 10^4 random trials
+        c = build_adder(64, 2)
+        victims = [k for k, g in enumerate(c.gates) if g.toffoli_layer == "L3 prop 1"]
+        assert len(victims) == 2
+        for k in victims:
+            broken = _without(c, k)
+            assert verify_adder(64, 2, seed=0, circuit=broken).ok, k
+            assert not qadder_reference.certify(broken), k
 
 
 class TestReversibility:
